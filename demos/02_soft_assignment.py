@@ -1,14 +1,14 @@
 """Soft correspondences through a slack-augmented assignment matrix.
 
-Builds a feature affinity, appends the slack row/column, normalizes with a
-few alternating row/column sweeps, and reads out barycentric matches plus
-per-point confidence weights. Outliers (points with no true counterpart)
-lose their mass to slack instead of being force-matched.
+Builds the feature-space soft assignment with a slack row/column, normalized
+by a few alternating row/column sweeps, and reads out barycentric matches
+plus per-point confidence weights. Outliers (points with no true
+counterpart) lose their mass to slack instead of being force-matched.
 """
 
 import numpy as np
 
-from rigidflow import PointCloud, add_slack, affinity, sinkhorn, soft_correspondences
+from rigidflow import PointCloud, soft_assignment, soft_correspondences
 
 rng = np.random.default_rng(1)
 
@@ -27,8 +27,8 @@ features_x[3] /= np.linalg.norm(features_x[3])
 features_x[8] = rng.normal(size=6)
 features_x[8] /= np.linalg.norm(features_x[8])
 
-aff = affinity(features_x, features_y, tau=0.05)
-assignment = sinkhorn(add_slack(aff, slack_value=np.exp(-2.0)), iterations=3)
+# Slack competes like a real match at feature distance 2 tau.
+assignment = soft_assignment(features_x, features_y, tau=0.05, slack_logit=-2.0, iterations=3)
 matched, weights = soft_correspondences(assignment, points_y)
 
 print("row  argmax  true  weight")

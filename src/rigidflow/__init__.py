@@ -50,12 +50,11 @@ from .rigidfit import (
     weighted_kabsch,
 )
 from .synthetic import SceneSpec, SyntheticScene, generate_scene, random_transform
-from .transport import AffinityMatrix, AssignmentMatrix, add_slack, affinity, sinkhorn, soft_correspondences
+from .transport import AssignmentMatrix, sinkhorn, soft_assignment, soft_correspondences
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityMatrix",
     "AssignmentMatrix",
     "ClusterLabeling",
     "EgoMetrics",
@@ -72,8 +71,6 @@ __all__ = [
     "SyntheticScene",
     "VoxelGrid",
     "WeightedCorrespondenceSet",
-    "add_slack",
-    "affinity",
     "apply_transform",
     "assemble_rigid_flow",
     "bce_mask_loss",
@@ -99,6 +96,7 @@ __all__ = [
     "sinkhorn",
     "smooth_flow",
     "soft_correspondences",
+    "soft_assignment",
     "soft_flow",
     "total_energy",
     "transfer_flow_to_points",

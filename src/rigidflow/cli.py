@@ -46,12 +46,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get("RGF_THREADS", "0"))
-
-
 def _load_cloud(path: str) -> PointCloud:
     if not os.path.exists(path):
         raise _InputError(f"no such file: {path}")
@@ -98,7 +92,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
         cfg = read_config(args.config) if args.config else PipelineConfig()
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        cfg = dataclasses.replace(cfg, threads=_resolve_threads(args.threads))
         cfg.validate()
 
         t0 = time.perf_counter()
@@ -311,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--refine", action="store_true", help="run ICP test-time refinement")
     p_flow.add_argument("--config", help="flat key=value config file")
     p_flow.add_argument("--seed", type=int, help="override the config seed")
-    p_flow.add_argument("--threads", type=int, help="worker thread cap (0 = auto; env RGF_THREADS)")
     p_flow.add_argument("--gt-ego", help="ground-truth ego transform for error reporting")
     p_flow.add_argument("--out-flow", default="flow.rgf", help="output flow cloud path")
     p_flow.add_argument("--out-ego", help="optional path for the estimated ego transform")

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .geom import FlowField, PointCloud
+from .transport import soft_assignment, soft_correspondences
 
 __all__ = ["FlowField", "soft_flow", "smooth_flow"]
 
@@ -21,22 +21,18 @@ def soft_flow(x: PointCloud, y: PointCloud, tau_flow: float) -> FlowField:
     """Soft-correspondence flow: row-softmax of -||f_i - g_j|| / tau over targets.
 
     flow_i = sum_j softmax_j(-||f_i - g_j|| / tau) y_j - x_i. Small tau
-    approaches hard nearest-feature matching; large tau blends targets.
+    approaches hard nearest-feature matching; large tau blends targets. This
+    is `soft_assignment` without slack and with a single row sweep.
 
     Raises:
-        ValueError: if tau_flow <= 0 or either cloud lacks features.
+        ValueError: if tau_flow <= 0, either cloud lacks features, or their
+            feature dimensions differ.
     """
-    if tau_flow <= 0:
-        raise ValueError("nonpositive temperature")
     if x.features is None or y.features is None:
         raise ValueError("both clouds need feature attributes")
-    if x.features.shape[1] != y.features.shape[1]:
-        raise ValueError("feature dimensions differ")
-    logits = -cdist(x.features, y.features) / tau_flow
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return FlowField(weights @ y.points - x.points)
+    assignment = soft_assignment(x.features, y.features, tau_flow, iterations=0)
+    matched, _ = soft_correspondences(assignment, y)
+    return FlowField(matched.points - x.points)
 
 
 def smooth_flow(

@@ -147,10 +147,6 @@ class FlowField:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    @property
-    def source_count(self) -> int:
-        return len(self.vectors)
-
 
 @dataclass(frozen=True)
 class VoxelGrid:
@@ -165,7 +161,6 @@ class VoxelGrid:
     voxel_size: float
     voxel_centers: PointCloud
     point_to_voxel: np.ndarray
-    voxel_representatives: list
 
     def __len__(self) -> int:
         return len(self.voxel_centers)
@@ -251,16 +246,7 @@ def voxelize(
         fg_prob=None if pc.fg_prob is None else cell_mean(pc.fg_prob),
         flow=None if pc.flow is None else cell_mean(pc.flow),
     )
-    order = np.argsort(inverse[retained], kind="stable")
-    members = np.flatnonzero(retained)[order]
-    bounds = np.cumsum(counts.astype(np.int64))[:-1]
-    representatives = [np.array(g) for g in np.split(members, bounds)]
-    return VoxelGrid(
-        voxel_size=float(voxel_size),
-        voxel_centers=centers,
-        point_to_voxel=inverse,
-        voxel_representatives=representatives,
-    )
+    return VoxelGrid(voxel_size=float(voxel_size), voxel_centers=centers, point_to_voxel=inverse)
 
 
 def transfer_flow_to_points(

@@ -12,6 +12,7 @@ inverse-distance interpolation at the very end.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,54 +51,36 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _parse_value(text: str, kind: str):
+def _parse_value(text: str, kind):
     text = text.strip()
-    if kind == "optional_float":
-        return None if text.lower() == "none" else float(text)
-    if kind == "float":
-        return float(text)
-    if kind == "int":
-        return int(text)
-    if kind == "bool":
+    options = typing.get_args(kind)
+    if type(None) in options:
+        if text.lower() == "none":
+            return None
+        (kind,) = [t for t in options if t is not type(None)]
+    if kind is bool:
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"not a boolean: {text!r}")
-    raise ValueError(f"unknown config field kind {kind!r}")
+    if kind in (int, float):
+        return kind(text)
+    raise ValueError(f"unsupported config field type {kind!r}")
 
 
-# field name -> parse kind, for the flat key/value config format
-_CONFIG_KINDS = {
-    "voxel_size": "float",
-    "max_points": "int",
-    "range_cutoff": "float",
-    "remove_ground": "bool",
-    "ground_removal_y": "float",
-    "fg_threshold": "float",
-    "dbscan_eps": "float",
-    "dbscan_min_samples": "int",
-    "dbscan_min_cluster_size": "int",
-    "tau_ego": "float",
-    "tau_flow": "float",
-    "slack_d0": "optional_float",
-    "sinkhorn_iterations": "int",
-    "ego_sample_size": "int",
-    "interp_k": "int",
-    "flow_smooth_k": "int",
-    "flow_smooth_radius": "optional_float",
-    "normalized_chamfer": "bool",
-    "lambda_inlier": "float",
-    "lambda_cd": "float",
-    "icp_bg.max_correspondence_distance": "float",
-    "icp_bg.max_iterations": "int",
-    "icp_bg.convergence_epsilon": "float",
-    "icp_fg.max_correspondence_distance": "float",
-    "icp_fg.max_iterations": "int",
-    "icp_fg.convergence_epsilon": "float",
-    "seed": "int",
-    "threads": "int",
-}
+def _flat_field_types(cls) -> dict:
+    """Field name -> type for the flat key/value config format.
+
+    Fields of a nested dataclass (the ICP configs) get dotted keys.
+    """
+    out = {}
+    for name, kind in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(kind):
+            out.update((f"{name}.{sub}", t) for sub, t in typing.get_type_hints(kind).items())
+        else:
+            out[name] = kind
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,10 +92,8 @@ class PipelineConfig:
     down to `max_points`, and voxelized at `voxel_size` with at most
     `max_points` voxels. Foreground is `fg_prob > fg_threshold`. `slack_d0`
     (None means 2 * tau_ego) sets the feature distance at which the slack
-    outlier bin competes with real matches. `threads` caps worker threads
-    for internally parallelizable stages (0 = automatic); the reference
-    implementation runs single-threaded either way and is deterministic for
-    a fixed `seed`.
+    outlier bin competes with real matches. The implementation is
+    single-threaded and deterministic for a fixed `seed`.
     """
 
     voxel_size: float = 0.1
@@ -138,7 +119,6 @@ class PipelineConfig:
     icp_bg: IcpConfig = IcpConfig(max_correspondence_distance=0.15, max_iterations=300)
     icp_fg: IcpConfig = IcpConfig(max_correspondence_distance=0.25, max_iterations=300)
     seed: int = 0
-    threads: int = 0
 
     def validate(self) -> None:
         positive = {
@@ -169,8 +149,6 @@ class PipelineConfig:
             raise ValueError("flow_smooth_k must be nonnegative")
         if self.lambda_inlier < 0 or self.lambda_cd < 0:
             raise ValueError("loss weights must be nonnegative")
-        if self.threads < 0:
-            raise ValueError("threads must be nonnegative")
 
     @property
     def resolved_slack_d0(self) -> float:
@@ -191,21 +169,21 @@ class PipelineConfig:
     @classmethod
     def from_flat_dict(cls, flat: dict) -> "PipelineConfig":
         """Inverse of `to_flat_dict`; unknown keys raise."""
+        types = _flat_field_types(cls)
         kwargs: dict = {}
-        icp: dict = {"icp_bg": {}, "icp_fg": {}}
+        nested: dict = {}
         for key, raw in flat.items():
-            if key not in _CONFIG_KINDS:
+            if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
-            value = _parse_value(str(raw), _CONFIG_KINDS[key])
-            if "." in key:
-                head, tail = key.split(".", 1)
-                icp[head][tail] = value
+            value = _parse_value(str(raw), types[key])
+            head, dot, tail = key.partition(".")
+            if dot:
+                nested.setdefault(head, {})[tail] = value
             else:
                 kwargs[key] = value
-        for name in ("icp_bg", "icp_fg"):
-            if icp[name]:
-                base = getattr(cls(), name)
-                kwargs[name] = dataclasses.replace(base, **icp[name])
+        defaults = cls()
+        for name, changes in nested.items():
+            kwargs[name] = dataclasses.replace(getattr(defaults, name), **changes)
         return cls(**kwargs)
 
 

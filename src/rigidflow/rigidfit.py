@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import FlowField, PointCloud, RigidTransform
-from .transport import add_slack, affinity, AssignmentMatrix, sinkhorn, soft_correspondences
+from .transport import AssignmentMatrix, soft_assignment, soft_correspondences
 
 __all__ = [
     "WeightedCorrespondenceSet",
@@ -96,10 +96,10 @@ def estimate_ego_motion(
     """Rigid motion mapping the source background onto the target background.
 
     Samples up to `n_sample` points per side without replacement (all points
-    when fewer exist), builds the feature affinity at temperature `tau`,
-    appends slack at exp(-slack_d0 / tau) (slack_d0 defaults to 2 tau, i.e.
-    slack competes like a match at distance 2 tau), normalizes with
-    `iterations` Sinkhorn sweeps, and fits a weighted Kabsch on the soft
+    when fewer exist), builds the soft assignment at temperature `tau` with
+    slack at exp(-slack_d0 / tau) (slack_d0 defaults to 2 tau, i.e. slack
+    competes like a match at distance 2 tau) and `iterations` Sinkhorn
+    sweeps, and fits a weighted Kabsch on the soft
     correspondences, weighting each row by the mass it kept from slack.
 
     Returns the fitted transform together with the normalized assignment
@@ -117,8 +117,9 @@ def estimate_ego_motion(
     sample_x = bg_x.select(rng.choice(len(bg_x), size=min(n_sample, len(bg_x)), replace=False))
     sample_y = bg_y.select(rng.choice(len(bg_y), size=min(n_sample, len(bg_y)), replace=False))
 
-    aff = affinity(sample_x.features, sample_y.features, tau)
-    assignment = sinkhorn(add_slack(aff, np.exp(-slack_d0 / tau)), iterations)
+    assignment = soft_assignment(
+        sample_x.features, sample_y.features, tau, slack_logit=-slack_d0 / tau, iterations=iterations
+    )
     matched, weights = soft_correspondences(assignment, sample_y, source=sample_x)
     transform = weighted_kabsch(
         WeightedCorrespondenceSet(source=sample_x, target=matched, weights=weights)

@@ -1,9 +1,12 @@
-"""Feature-space affinities and slack-augmented Sinkhorn soft assignment.
+"""Slack-augmented soft assignment between two feature sets.
 
-The assignment pipeline is: affinity -> add_slack -> sinkhorn ->
-soft_correspondences. The slack row/column absorbs the mass of points that
-have no real counterpart (occlusion, sampling holes) so outliers are
-down-weighted rather than force-matched.
+One kernel serves both consumers: `soft_assignment` builds the row-normalized
+matching exp(-||f_i - g_j|| / tau), optionally against a slack row/column and
+refined by Sinkhorn sweeps, and `soft_correspondences` reads off barycentric
+matches. The ego-motion uses slack and 3 sweeps; the flow head uses no slack
+and a single row sweep (a plain softmax). The slack row/column absorbs the
+mass of points that have no real counterpart (occlusion, sampling holes) so
+outliers are down-weighted rather than force-matched.
 """
 
 from __future__ import annotations
@@ -16,35 +19,11 @@ from scipy.spatial.distance import cdist
 from .geom import PointCloud
 
 __all__ = [
-    "AffinityMatrix",
     "AssignmentMatrix",
-    "affinity",
-    "add_slack",
+    "soft_assignment",
     "sinkhorn",
     "soft_correspondences",
 ]
-
-# Entries are floored here before any division so that underflowed affinities
-# (huge feature distances) cannot produce zero row/column sums.
-_FLOOR = 1e-30
-
-
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """Pairwise similarity exp(-||f_i - g_j|| / tau), entries in (0, 1]."""
-
-    values: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError("affinity values must be a 2-D matrix")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)
@@ -77,34 +56,64 @@ class AssignmentMatrix:
         return self.values[: self.n_rows, : self.n_cols]
 
 
-def affinity(features_x: np.ndarray, features_y: np.ndarray, tau: float) -> AffinityMatrix:
-    """Exponentiated negative feature distance, entry (i, j) = exp(-||f_i - g_j|| / tau).
+def _sweep(v: np.ndarray, n: int, m: int, iterations: int) -> None:
+    """Normalize the real rows, then the real columns, of `v` in place.
 
-    `features_x` is (N, D) and `features_y` is (M, D). Larger tau softens the
-    contrast between the best and the remaining candidates.
+    Repeats `iterations` times; `iterations=0` runs a single row sweep. Sums
+    run over the slack row/column too, which are never scaled themselves.
 
     Raises:
-        ValueError: if tau <= 0 ("nonpositive temperature") or feature
-            dimensions disagree.
+        ValueError: "degenerate affinity" when a real row or column has no mass.
+    """
+    blocks = ((v[:n], 1), (v[:, :m], 0)) if iterations else ((v[:n], 1),)
+    for _ in range(max(iterations, 1)):
+        for block, axis in blocks:
+            sums = block.sum(axis=axis, keepdims=True)
+            if not np.all(sums > 0):
+                raise ValueError("degenerate affinity")
+            block /= sums
+
+
+def soft_assignment(
+    features_x: np.ndarray,
+    features_y: np.ndarray,
+    tau: float,
+    slack_logit: float | None = None,
+    iterations: int = 3,
+) -> AssignmentMatrix:
+    """Soft matching of `features_x` (N, D) to `features_y` (M, D).
+
+    Entry (i, j) starts from the logit -||f_i - g_j|| / tau, and every slack
+    entry from `slack_logit` (without one, slack carries zero mass). Each real
+    row is shifted by its largest logit, slack included, before a single
+    exponentiation, so no row underflows to zero however far apart the
+    features are; the first row sweep cancels the shift exactly. Then
+    `iterations` Sinkhorn sweeps run as in `sinkhorn`; `iterations=0` is one
+    row sweep, i.e. a row softmax. Larger tau softens the contrast between the
+    best and the remaining candidates.
+
+    Raises:
+        ValueError: if tau <= 0 ("nonpositive temperature"), iterations < 0,
+            feature dimensions disagree, or a real column ends up with no mass
+            ("degenerate affinity").
     """
     if tau <= 0:
         raise ValueError("nonpositive temperature")
+    if iterations < 0:
+        raise ValueError("iterations must be nonnegative")
     fx = np.asarray(features_x, dtype=np.float64)
     fy = np.asarray(features_y, dtype=np.float64)
     if fx.ndim != 2 or fy.ndim != 2 or fx.shape[1] != fy.shape[1]:
         raise ValueError("feature matrices must be (N, D) and (M, D) with equal D")
-    values = np.maximum(np.exp(-cdist(fx, fy) / tau), _FLOOR)
-    return AffinityMatrix(values=values, tau=float(tau))
-
-
-def add_slack(m: AffinityMatrix, slack_value: float) -> AssignmentMatrix:
-    """Append one slack row and column (corner included) filled with `slack_value`."""
-    if slack_value <= 0:
-        raise ValueError("slack_value must be positive")
-    n, mm = m.values.shape
-    out = np.full((n + 1, mm + 1), float(slack_value))
-    out[:n, :mm] = m.values
-    return AssignmentMatrix(values=out, n_rows=n, n_cols=mm)
+    n, m = len(fx), len(fy)
+    v = np.empty((n + 1, m + 1))
+    v[:n, :m] = cdist(fx, fy)
+    v[:n, :m] /= -tau
+    v[n] = v[:, m] = -np.inf if slack_logit is None else slack_logit
+    v[:n] -= v[:n].max(axis=1, keepdims=True)
+    np.exp(v, out=v)
+    _sweep(v, n, m, iterations)
+    return AssignmentMatrix(values=v, n_rows=n, n_cols=m)
 
 
 def sinkhorn(a: AssignmentMatrix, iterations: int = 3) -> AssignmentMatrix:
@@ -121,15 +130,9 @@ def sinkhorn(a: AssignmentMatrix, iterations: int = 3) -> AssignmentMatrix:
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    n, m = a.n_rows, a.n_cols
     v = a.values.copy()
-    if np.any(v[:n].sum(axis=1) == 0) or np.any(v[:, :m].sum(axis=0) == 0):
-        raise ValueError("degenerate affinity")
-    v = np.maximum(v, _FLOOR)
-    for _ in range(iterations):
-        v[:n] /= v[:n].sum(axis=1, keepdims=True)
-        v[:, :m] /= v[:, :m].sum(axis=0, keepdims=True)
-    return AssignmentMatrix(values=v, n_rows=n, n_cols=m)
+    _sweep(v, a.n_rows, a.n_cols, iterations)
+    return AssignmentMatrix(values=v, n_rows=a.n_rows, n_cols=a.n_cols)
 
 
 def soft_correspondences(

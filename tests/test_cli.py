@@ -211,19 +211,6 @@ def test_eval_with_ego_files(tmp_path, capsys):
     assert "ego.rre = 0.0" in out
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
-    prefix = synth(tmp_path)
-    monkeypatch.setenv("RGF_THREADS", "2")
-    rc = main(
-        [
-            "flow", "--src", f"{prefix}_x.rgf", "--tgt", f"{prefix}_y.rgf",
-            "--seed", "1", "--out-flow", str(tmp_path / "f.rgf"),
-        ]
-    )
-    assert rc == 0
-    assert "config.threads = 2" in capsys.readouterr().out
-
-
 def test_flow_timings_flag_adds_lines(tmp_path):
     prefix = synth(tmp_path)
     report = str(tmp_path / "timed.txt")

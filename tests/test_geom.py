@@ -201,13 +201,16 @@ def test_voxelize_cap_deterministic_per_seed(rng):
     np.testing.assert_array_equal(a.voxel_centers.points, b.voxel_centers.points)
 
 
-def test_voxel_representatives_partition(rng):
+def test_point_to_voxel_partition(rng):
     pts = rng.uniform(0.0, 0.5, size=(200, 3))
     grid = voxelize(PointCloud(pts), 0.1)
-    seen = np.concatenate(grid.voxel_representatives)
-    assert sorted(seen) == list(range(200))
-    for v, members in enumerate(grid.voxel_representatives):
-        assert np.all(grid.point_to_voxel[members] == v)
+    # every point lands in exactly one retained voxel, each voxel has members
+    assert grid.point_to_voxel.shape == (200,)
+    assert np.all((grid.point_to_voxel >= 0) & (grid.point_to_voxel < len(grid)))
+    assert len(np.unique(grid.point_to_voxel)) == len(grid)
+    for v in range(len(grid)):
+        members = pts[grid.point_to_voxel == v]
+        np.testing.assert_allclose(grid.voxel_centers.points[v], members.mean(axis=0), atol=1e-15)
 
 
 # ------------------------------------------------------- flow interpolation

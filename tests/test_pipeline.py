@@ -13,6 +13,7 @@ from rigidflow.pipeline import (
     with_height_mask,
     with_xyz_features,
 )
+from rigidflow.refine import IcpConfig
 from rigidflow.rigidfit import fit_cluster_transform
 from rigidflow.synthetic import SceneSpec, generate_scene
 
@@ -156,6 +157,21 @@ def test_mask_noise_degrades_gracefully():
     assert noisy.epe3d_mean < 0.5  # flipped points carry the residual damage
 
 
+@pytest.mark.parametrize("sigma", [0.05, 0.1])
+def test_ego_survives_feature_noise(sigma):
+    # at sigma 0.1 nearly every background affinity lies below 1e-30; the
+    # ego must still come from their relative weights, not from a floor
+    scene = generate_scene(SceneSpec(seed=0))
+    noise = np.random.default_rng(0)
+    frame_x, frame_y = (
+        dataclasses.replace(f, features=f.features + noise.normal(0.0, sigma, f.features.shape))
+        for f in (scene.frame_x, scene.frame_y)
+    )
+    scene = dataclasses.replace(scene, frame_x=frame_x, frame_y=frame_y)
+    _, _, decomp, _ = run_scene(scene, PipelineConfig(seed=0), refine=False)
+    assert ego_metrics(decomp.ego, scene.gt_ego).rre < 0.5
+
+
 def test_output_segments_are_exactly_rigid():
     scene = generate_scene(SceneSpec(seed=24))
     cfg = PipelineConfig(seed=24)
@@ -273,10 +289,35 @@ def test_feature_and_mask_providers(rng):
 
 
 def test_config_flat_round_trip():
-    cfg = PipelineConfig(seed=5, slack_d0=0.3, flow_smooth_k=4)
-    flat = cfg.to_flat_dict()
-    back = PipelineConfig.from_flat_dict(flat)
-    assert back == cfg
+    off_default = PipelineConfig(
+        voxel_size=0.2,
+        max_points=4096,
+        range_cutoff=30.0,
+        remove_ground=True,
+        ground_removal_y=-1.0,
+        fg_threshold=0.4,
+        dbscan_eps=0.5,
+        dbscan_min_samples=4,
+        dbscan_min_cluster_size=8,
+        tau_ego=0.01,
+        tau_flow=0.2,
+        slack_d0=0.3,
+        sinkhorn_iterations=5,
+        ego_sample_size=512,
+        interp_k=4,
+        flow_smooth_k=4,
+        flow_smooth_radius=0.5,
+        normalized_chamfer=True,
+        lambda_inlier=0.01,
+        lambda_cd=0.25,
+        icp_bg=IcpConfig(max_correspondence_distance=0.1, max_iterations=100, convergence_epsilon=1e-7),
+        icp_fg=IcpConfig(max_correspondence_distance=0.2, max_iterations=50, convergence_epsilon=1e-5),
+        seed=5,
+    )
+    defaults = PipelineConfig().to_flat_dict()
+    assert all(value != defaults[key] for key, value in off_default.to_flat_dict().items())
+    for cfg in (PipelineConfig(seed=5, slack_d0=0.3, flow_smooth_k=4), off_default):
+        assert PipelineConfig.from_flat_dict(cfg.to_flat_dict()) == cfg
     with pytest.raises(ValueError, match="unknown config key"):
         PipelineConfig.from_flat_dict({"nope": "1"})
 

@@ -4,12 +4,10 @@ import pytest
 from rigidflow.geom import PointCloud
 from rigidflow.transport import (
     AssignmentMatrix,
-    add_slack,
-    affinity,
     sinkhorn,
+    soft_assignment,
     soft_correspondences,
 )
-
 
 def reference_sinkhorn(values, n, m, iterations):
     """Independent scalar-loop implementation of the normalization scheme."""
@@ -22,53 +20,69 @@ def reference_sinkhorn(values, n, m, iterations):
     return v
 
 
-# ------------------------------------------------------------------ affinity
+# -------------------------------------------------------- soft_assignment
+
+
+def _logits(fx, fy, tau):
+    return np.array([[-np.linalg.norm(f - g) / tau for g in fy] for f in fx])
+
+
+def _slack_ratio(a):
+    """Each real entry over its row's slack entry, i.e. exp(L_ij - s)."""
+    return a.real / a.values[: a.n_rows, a.n_cols :]
 
 
 def test_affinity_identical_features_give_one():
     f = np.array([[1.0, 2.0, 3.0]])
-    a = affinity(f, f, tau=0.5)
-    assert a.values[0, 0] == pytest.approx(1.0)
+    a = soft_assignment(f, f, tau=0.5, slack_logit=0.0, iterations=0)
+    assert _slack_ratio(a)[0, 0] == pytest.approx(1.0)
 
 
 def test_affinity_at_distance_tau_is_exp_minus_one():
     fx = np.array([[0.0]])
     fy = np.array([[0.25]])
-    a = affinity(fx, fy, tau=0.25)
-    assert a.values[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-12)
+    a = soft_assignment(fx, fy, tau=0.25, slack_logit=0.0, iterations=0)
+    assert _slack_ratio(a)[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
 def test_affinity_matches_double_loop_oracle(rng):
     fx = rng.normal(size=(4, 6))
     fy = rng.normal(size=(5, 6))
     tau = 0.3
-    a = affinity(fx, fy, tau)
+    logits = _logits(fx, fy, tau)
+    # without slack, one row sweep is the row softmax and slack holds no mass
+    a = soft_assignment(fx, fy, tau, iterations=0)
     for i in range(4):
-        for j in range(5):
-            expected = np.exp(-np.linalg.norm(fx[i] - fy[j]) / tau)
-            assert a.values[i, j] == pytest.approx(expected, abs=1e-12)
+        expected = np.exp(logits[i] - logits[i].max())
+        expected /= expected.sum()
+        np.testing.assert_allclose(a.real[i], expected, rtol=1e-12, atol=0)
+    assert not a.values[4].any() and not a.values[:, 5].any()
+    # with slack, every real entry stands to its slack entry as exp(L_ij - s)
+    s = -1.7
+    b = soft_assignment(fx, fy, tau, slack_logit=s, iterations=0)
+    np.testing.assert_allclose(_slack_ratio(b), np.exp(logits - s), rtol=1e-12, atol=0)
 
 
 def test_affinity_nonpositive_temperature():
     f = np.zeros((2, 3))
     with pytest.raises(ValueError, match="nonpositive temperature"):
-        affinity(f, f, tau=0.0)
+        soft_assignment(f, f, tau=0.0)
 
 
 def test_affinity_symmetric_up_to_transpose(rng):
     fx = rng.normal(size=(4, 3))
     fy = rng.normal(size=(6, 3))
-    a = affinity(fx, fy, 0.2)
-    b = affinity(fy, fx, 0.2)
-    np.testing.assert_allclose(a.values, b.values.T, atol=1e-15)
+    a = soft_assignment(fx, fy, 0.2, slack_logit=0.0, iterations=0)
+    b = soft_assignment(fy, fx, 0.2, slack_logit=0.0, iterations=0)
+    np.testing.assert_allclose(_slack_ratio(a), _slack_ratio(b).T, rtol=1e-13, atol=0)
 
 
 def test_affinity_softens_with_larger_tau(rng):
     # every off-best ratio moves strictly toward 1 when tau grows
     fx = rng.normal(size=(5, 4))
     fy = rng.normal(size=(7, 4))
-    lo = affinity(fx, fy, 0.1).values
-    hi = affinity(fx, fy, 0.5).values
+    lo = soft_assignment(fx, fy, 0.1, iterations=0).real
+    hi = soft_assignment(fx, fy, 0.5, iterations=0).real
     best_lo = lo.max(axis=1, keepdims=True)
     best_hi = hi.max(axis=1, keepdims=True)
     ratio_lo = lo / best_lo
@@ -78,33 +92,34 @@ def test_affinity_softens_with_larger_tau(rng):
     assert np.all(ratio_hi[off_best] < 1.0)
 
 
-# ----------------------------------------------------------------- add_slack
+def test_soft_assignment_equals_sinkhorn_of_exponentiated_logits(rng):
+    # where no affinity underflows, the row shift cancels in the first sweep
+    fx = rng.normal(size=(9, 5))
+    fy = rng.normal(size=(11, 5))
+    tau, s = 0.4, -2.0
+    full = np.full((10, 12), np.exp(s))
+    full[:9, :11] = np.exp(_logits(fx, fy, tau))
+    expected = sinkhorn(AssignmentMatrix(full, 9, 11), iterations=3)
+    out = soft_assignment(fx, fy, tau, slack_logit=s, iterations=3)
+    np.testing.assert_allclose(out.values, expected.values, rtol=1e-12, atol=0)
 
 
-def test_add_slack_two_by_two():
-    from rigidflow.transport import AffinityMatrix
-
-    m = AffinityMatrix(np.ones((2, 2)), tau=1.0)
-    out = add_slack(m, 0.5)
-    expected = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 0.5]])
-    np.testing.assert_array_equal(out.values, expected)
-    assert out.n_rows == 2 and out.n_cols == 2
-
-
-def test_add_slack_one_by_one():
-    from rigidflow.transport import AffinityMatrix
-
-    m = AffinityMatrix(np.array([[0.7]]), tau=1.0)
-    out = add_slack(m, 0.2)
-    np.testing.assert_allclose(out.values, [[0.7, 0.2], [0.2, 0.2]])
+def test_soft_assignment_recovers_permutation_below_underflow(rng):
+    # match gap 0.5 against 0.6 at tau 0.005: every real affinity is below
+    # 1e-30, yet the logit differences still single out the permutation
+    n, tau = 8, 0.005
+    perm = rng.permutation(n)
+    fy = 1.1 * np.arange(n, dtype=float)[:, None]
+    fx = fy[perm] + 0.5
+    assert _logits(fx, fy, tau).max() < np.log(1e-30)
+    for slack_logit, iterations in ((None, 0), (-2.0, 3)):
+        a = soft_assignment(fx, fy, tau, slack_logit=slack_logit, iterations=iterations)
+        assert np.array_equal(a.real.argmax(axis=1), perm)
 
 
-def test_add_slack_preserves_interior_bit_exact(rng):
-    from rigidflow.transport import AffinityMatrix
-
-    vals = rng.uniform(0.1, 1.0, size=(6, 4))
-    out = add_slack(AffinityMatrix(vals, tau=1.0), 0.3)
-    assert np.array_equal(out.values[:6, :4], vals)
+def test_soft_assignment_rejects_mismatched_features():
+    with pytest.raises(ValueError, match="equal D"):
+        soft_assignment(np.zeros((2, 3)), np.zeros((2, 4)), tau=0.1)
 
 
 # ------------------------------------------------------------------ sinkhorn
@@ -241,6 +256,6 @@ def test_soft_correspondences_permutation_reproduces_target(rng):
 def test_sinkhorn_weights_in_unit_interval(rng):
     fx = rng.normal(size=(10, 5))
     fy = rng.normal(size=(12, 5))
-    a = sinkhorn(add_slack(affinity(fx, fy, 0.3), 0.2), iterations=3)
+    a = soft_assignment(fx, fy, 0.3, slack_logit=np.log(0.2), iterations=3)
     _, weights = soft_correspondences(a, PointCloud(rng.normal(size=(12, 3))))
     assert np.all(weights >= 0.0) and np.all(weights <= 1.0 + 1e-12)
