@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .geom import PointCloud
@@ -55,29 +57,31 @@ def dbscan(
     if n == 0:
         return ClusterLabeling(labels=np.empty(0, dtype=np.int64), cluster_sizes=np.empty(0, dtype=np.int64))
 
-    neighbors = cKDTree(points.points).query_ball_point(points.points, r=eps)
-    core = np.array([len(nb) >= min_samples for nb in neighbors])
+    pairs = cKDTree(points.points).query_pairs(eps, output_type="ndarray")
+    core = np.bincount(pairs.ravel(), minlength=n) + 1 >= min_samples
     labels = np.full(n, -1, dtype=np.int64)
 
-    next_id = 0
-    for seed in range(n):
-        if not core[seed] or labels[seed] != -1:
-            continue
-        labels[seed] = next_id
-        stack = [seed]
-        while stack:
-            j = stack.pop()
-            for q in neighbors[j]:
-                if core[q] and labels[q] == -1:
-                    labels[q] = next_id
-                    stack.append(q)
-        next_id += 1
+    # Clusters: connected components of the core-core eps-graph over the
+    # cores in index order. connected_components numbers the components in
+    # order of their lowest node, i.e. of their first core point.
+    core_idx = np.flatnonzero(core)
+    rank = np.cumsum(core) - 1
+    edges = pairs[core[pairs[:, 0]] & core[pairs[:, 1]]]
+    graph = coo_matrix(
+        (np.ones(len(edges), dtype=np.int8), (rank[edges[:, 0]], rank[edges[:, 1]])),
+        shape=(len(core_idx), len(core_idx)),
+    )
+    next_id, component = connected_components(graph, directed=False)
+    labels[core_idx] = component
 
-    for i in range(n):
-        if not core[i]:
-            claiming = [q for q in neighbors[i] if core[q]]
-            if claiming:
-                labels[i] = labels[min(claiming)]
+    # Border points join the cluster of their lowest-indexed core neighbor.
+    # Each border-core pair has exactly one core end.
+    mixed = pairs[core[pairs[:, 0]] != core[pairs[:, 1]]]
+    is_core = core[mixed]
+    lowest = np.full(n, n)
+    np.minimum.at(lowest, mixed[~is_core], mixed[is_core])
+    claimed = lowest < n
+    labels[claimed] = labels[lowest[claimed]]
 
     if next_id == 0:
         return ClusterLabeling(labels=labels, cluster_sizes=np.empty(0, dtype=np.int64))

@@ -33,10 +33,15 @@ class PointCloud:
 
     Attributes:
         points: (N, 3) float64 coordinates, all finite.
-        features: optional (N, D) float64 descriptor per point.
+        features: optional (N, D) float64 descriptor per point, all finite.
         fg_prob: optional (N,) float64 foreground probability in [0, 1].
         cluster_id: optional (N,) int64 label, -1 meaning unassigned.
-        flow: optional (N, 3) float64 displacement per point.
+        flow: optional (N, 3) float64 displacement per point, all finite.
+
+    Raises:
+        ValueError: on a wrong shape, a non-finite coordinate, feature or flow
+            value, or an fg_prob outside [0, 1]; the message names the
+            attribute.
     """
 
     points: np.ndarray
@@ -57,11 +62,17 @@ class PointCloud:
             f = np.asarray(self.features, dtype=np.float64)
             if f.ndim != 2 or f.shape[0] != n:
                 raise ValueError(f"features must have shape ({n}, D), got {f.shape}")
+            if not np.all(np.isfinite(f)):
+                raise ValueError("features contain non-finite values")
             object.__setattr__(self, "features", f)
         if self.fg_prob is not None:
             p = np.asarray(self.fg_prob, dtype=np.float64)
             if p.shape != (n,):
                 raise ValueError(f"fg_prob must have shape ({n},), got {p.shape}")
+            if not np.all(np.isfinite(p)):
+                raise ValueError("fg_prob contains non-finite values")
+            if np.any((p < 0) | (p > 1)):
+                raise ValueError("fg_prob values must lie in [0, 1]")
             object.__setattr__(self, "fg_prob", p)
         if self.cluster_id is not None:
             c = np.asarray(self.cluster_id, dtype=np.int64)
@@ -72,6 +83,8 @@ class PointCloud:
             v = np.asarray(self.flow, dtype=np.float64)
             if v.shape != (n, 3):
                 raise ValueError(f"flow must have shape ({n}, 3), got {v.shape}")
+            if not np.all(np.isfinite(v)):
+                raise ValueError("flow contains non-finite values")
             object.__setattr__(self, "flow", v)
 
     def __len__(self) -> int:
@@ -218,10 +231,16 @@ def voxelize(
     if len(pc) == 0:
         raise ValueError("empty cloud")
 
+    # Cells in lexicographic key order (x, then y, then z), as np.unique(axis=0)
+    # would give them; the three keys are not packed into one int64, which
+    # could overflow.
     keys = np.floor(pc.points / voxel_size).astype(np.int64)
-    cells, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    n_cells = len(cells)
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    new_cell = np.concatenate(([True], np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)))
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(new_cell) - 1
+    n_cells = int(new_cell.sum())
 
     if max_voxels is not None and n_cells > max_voxels:
         if rng is None:
@@ -233,12 +252,14 @@ def voxelize(
         n_cells = max_voxels
 
     retained = inverse >= 0
-    counts = np.bincount(inverse[retained], minlength=n_cells).astype(np.float64)
+    cell = inverse[retained]
+    counts = np.bincount(cell, minlength=n_cells).astype(np.float64)
 
     def cell_mean(values: np.ndarray) -> np.ndarray:
-        acc = np.zeros((n_cells,) + values.shape[1:], dtype=np.float64)
-        np.add.at(acc, inverse[retained], values[retained])
-        return acc / counts.reshape((-1,) + (1,) * (values.ndim - 1))
+        # bincount sums each cell in point order, one column at a time.
+        columns = values[retained].reshape(len(cell), -1).T
+        acc = np.stack([np.bincount(cell, weights=c, minlength=n_cells) for c in columns], axis=1)
+        return (acc / counts[:, None]).reshape((n_cells,) + values.shape[1:])
 
     centers = PointCloud(
         points=cell_mean(pc.points),

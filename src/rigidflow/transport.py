@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .geom import PointCloud
 
@@ -92,6 +91,14 @@ def soft_assignment(
     row sweep, i.e. a row softmax. Larger tau softens the contrast between the
     best and the remaining candidates.
 
+    The distances come from one BLAS matrix product (Gram expansion). For
+    unit-norm features they agree with the directly computed Euclidean
+    distance within 1e-7 absolute, the worst case being near-duplicate
+    features, where cancellation leaves about sqrt(machine epsilon); generic
+    pairs agree to about 1e-15. The result is bit-reproducible only for a
+    fixed BLAS build and thread count, since both change the summation order
+    of the product.
+
     Raises:
         ValueError: if tau <= 0 ("nonpositive temperature"), iterations < 0,
             feature dimensions disagree, or a real column ends up with no mass
@@ -106,9 +113,16 @@ def soft_assignment(
     if fx.ndim != 2 or fy.ndim != 2 or fx.shape[1] != fy.shape[1]:
         raise ValueError("feature matrices must be (N, D) and (M, D) with equal D")
     n, m = len(fx), len(fy)
+    # ||f||^2 + ||g||^2 - 2 f.g, written by one BLAS product straight into the
+    # real block (no N x M temporary), clamped at 0 before the square root.
     v = np.empty((n + 1, m + 1))
-    v[:n, :m] = cdist(fx, fy)
-    v[:n, :m] /= -tau
+    real = v[:n, :m]
+    np.matmul(-2.0 * fx, fy.T, out=real)
+    real += np.einsum("ij,ij->i", fx, fx)[:, None]
+    real += np.einsum("ij,ij->i", fy, fy)
+    np.maximum(real, 0.0, out=real)
+    np.sqrt(real, out=real)
+    real /= -tau
     v[n] = v[:, m] = -np.inf if slack_logit is None else slack_logit
     v[:n] -= v[:n].max(axis=1, keepdims=True)
     np.exp(v, out=v)

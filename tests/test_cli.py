@@ -96,6 +96,21 @@ def test_flow_unparsable_file_exits_2(tmp_path, capsys):
     assert "garbage.rgf" in err and "byte" in err
 
 
+def test_flow_out_of_range_fg_prob_exits_2_naming_attribute(tmp_path, rng, capsys):
+    n, dim = 30, 4
+    pc = PointCloud(rng.normal(size=(n, 3)), features=rng.normal(size=(n, dim)), fg_prob=np.zeros(n))
+    p = tmp_path / "prob.rgf"
+    write_point_cloud(p, pc)
+    data = bytearray(p.read_bytes())
+    fg_offset = 16 + 12 * n + 4 * n * dim
+    data[fg_offset : fg_offset + 4] = np.float32(7.0).tobytes()
+    p.write_bytes(bytes(data))
+    rc = main(["flow", "--src", str(p), "--tgt", str(p)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "prob.rgf" in err and "fg_prob values must lie in [0, 1]" in err
+
+
 def test_flow_numerical_failure_exits_3(tmp_path, rng, capsys):
     # all-foreground clouds leave no background: numerical failure, not usage
     pts = rng.uniform(-3.0, 3.0, size=(200, 3))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from rigidflow.cluster import dbscan
 from rigidflow.geom import PointCloud
@@ -154,3 +155,107 @@ def test_invalid_parameters():
         dbscan(pc, eps=0.0, min_samples=3)
     with pytest.raises(ValueError):
         dbscan(pc, eps=0.5, min_samples=0)
+
+
+# ------------------------------------------- bit-identity with the loop DBSCAN
+
+
+def loop_dbscan(points, eps, min_samples, min_cluster_size):
+    """The former flood-fill implementation over `query_ball_point` lists.
+
+    Kept as the reference for `dbscan`, whose labels and sizes must match it
+    exactly, numbering and border rule included.
+    """
+    n = len(points)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    neighbors = cKDTree(points).query_ball_point(points, r=eps)
+    core = np.array([len(nb) >= min_samples for nb in neighbors])
+    labels = np.full(n, -1, dtype=np.int64)
+    next_id = 0
+    for seed in range(n):
+        if not core[seed] or labels[seed] != -1:
+            continue
+        labels[seed] = next_id
+        stack = [seed]
+        while stack:
+            j = stack.pop()
+            for q in neighbors[j]:
+                if core[q] and labels[q] == -1:
+                    labels[q] = next_id
+                    stack.append(q)
+        next_id += 1
+    for i in range(n):
+        if not core[i]:
+            claiming = [q for q in neighbors[i] if core[q]]
+            if claiming:
+                labels[i] = labels[min(claiming)]
+    if next_id == 0:
+        return labels, np.empty(0, dtype=np.int64)
+    sizes = np.bincount(labels[labels >= 0], minlength=next_id)
+    keep = sizes >= min_cluster_size
+    remap = np.full(next_id, -1, dtype=np.int64)
+    remap[keep] = np.arange(int(keep.sum()))
+    return np.where(labels >= 0, remap[labels], -1), sizes[keep]
+
+
+def _contested_border(interleaved):
+    """Two chains of points on the x axis and one border point between them.
+
+    With eps=0.55 and min_samples=4 the border point at x=0.5 (listed last)
+    is not core but lies within eps of a core of each chain: x=1.0 of the
+    right chain and x=0.0 of the left one. Listed chain by chain, the right
+    chain is cluster 0 and its x=1.0 core (index 4) comes first. Interleaved,
+    the left chain is cluster 0 (its core x=-0.6 comes first) but the right
+    chain's x=1.0 core (index 1) is still the border's lowest-indexed core.
+    """
+    if interleaved:
+        xs = [-0.6, 1.0, -0.8, -0.4, -0.2, 0.0, 1.8, 1.6, 1.4, 1.2]
+    else:
+        xs = [1.8, 1.6, 1.4, 1.2, 1.0, -0.8, -0.6, -0.4, -0.2, 0.0]
+    xs = xs + [0.5]
+    return np.column_stack([xs, np.zeros(len(xs)), np.zeros(len(xs))])
+
+
+def _random_cloud(seed, n=300, low=0.0, high=6.0):
+    return np.random.default_rng(seed).uniform(low, high, size=(n, 3))
+
+
+@pytest.mark.parametrize(
+    "points, eps, min_samples, min_cluster_size",
+    [
+        *[(_random_cloud(seed), 0.3 + 0.1 * seed, 2 + seed % 4, 1 + seed % 5) for seed in range(6)],
+        (_contested_border(False), 0.55, 4, 1),
+        (_contested_border(True), 0.55, 4, 1),
+        (_random_cloud(11), 0.5, 1, 1),
+        (_random_cloud(12), 0.5, 1, 3),
+        (_random_cloud(13, n=40), 0.2, 5, 1),  # no core point
+        (np.empty((0, 3)), 0.5, 3, 1),
+        (_random_cloud(14, low=-9.0, high=-3.0), 0.6, 3, 2),
+        (np.vstack([_random_cloud(15, n=50)] * 2), 0.4, 3, 1),  # exact duplicates
+    ],
+    ids=[
+        *[f"random-{seed}" for seed in range(6)],
+        "contested-border",
+        "contested-border-interleaved",
+        "min-samples-1",
+        "min-samples-1-size-filter",
+        "no-core",
+        "empty",
+        "negative-coordinates",
+        "duplicates",
+    ],
+)
+def test_bit_identical_to_loop_dbscan(points, eps, min_samples, min_cluster_size):
+    got = dbscan(PointCloud(points), eps=eps, min_samples=min_samples, min_cluster_size=min_cluster_size)
+    labels, sizes = loop_dbscan(points, eps, min_samples, min_cluster_size)
+    assert np.array_equal(got.labels, labels)
+    assert np.array_equal(got.cluster_sizes, sizes)
+
+
+@pytest.mark.parametrize("interleaved, right_core, left_core", [(False, 4, 9), (True, 1, 5)])
+def test_contested_border_joins_lowest_indexed_core(interleaved, right_core, left_core):
+    out = dbscan(PointCloud(_contested_border(interleaved)), eps=0.55, min_samples=4)
+    assert out.n_clusters == 2
+    assert out.labels[right_core] != out.labels[left_core]
+    assert out.labels[-1] == out.labels[right_core] == (1 if interleaved else 0)

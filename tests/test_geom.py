@@ -121,6 +121,32 @@ def test_point_cloud_rejects_non_finite():
         PointCloud([[0.0, 0.0, np.nan]])
 
 
+@pytest.mark.parametrize(
+    "attribute, value, message",
+    [
+        ("features", np.nan, "features contain non-finite values"),
+        ("features", np.inf, "features contain non-finite values"),
+        ("features", -np.inf, "features contain non-finite values"),
+        ("fg_prob", np.nan, "fg_prob contains non-finite values"),
+        ("fg_prob", 7.0, "fg_prob values must lie in [0, 1]"),
+        ("fg_prob", -0.5, "fg_prob values must lie in [0, 1]"),
+        ("flow", np.nan, "flow contains non-finite values"),
+        ("flow", np.inf, "flow contains non-finite values"),
+    ],
+)
+def test_point_cloud_rejects_bad_attribute_values(attribute, value, message):
+    attrs = {"features": np.zeros((4, 2)), "fg_prob": np.full(4, 0.5), "flow": np.zeros((4, 3))}
+    attrs[attribute].flat[2] = value
+    with pytest.raises(ValueError) as err:
+        PointCloud(np.zeros((4, 3)), **attrs)
+    assert str(err.value) == message
+
+
+def test_point_cloud_accepts_probability_bounds():
+    pc = PointCloud(np.zeros((2, 3)), fg_prob=[0.0, 1.0])
+    np.testing.assert_array_equal(pc.fg_prob, [0.0, 1.0])
+
+
 def test_point_cloud_attribute_length_mismatch():
     with pytest.raises(ValueError):
         PointCloud(np.zeros((3, 3)), fg_prob=np.zeros(2))
@@ -211,6 +237,97 @@ def test_point_to_voxel_partition(rng):
     for v in range(len(grid)):
         members = pts[grid.point_to_voxel == v]
         np.testing.assert_allclose(grid.voxel_centers.points[v], members.mean(axis=0), atol=1e-15)
+
+
+def unique_voxelize(pc, voxel_size, max_voxels=None, rng=None):
+    """The former `np.unique(axis=0)` + `np.add.at` voxelization.
+
+    Kept as the reference for `voxelize`, whose centres, averaged attributes
+    and `point_to_voxel` must match it exactly. Returns (centres dict,
+    point_to_voxel).
+    """
+    keys = np.floor(pc.points / voxel_size).astype(np.int64)
+    cells, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    n_cells = len(cells)
+    if max_voxels is not None and n_cells > max_voxels:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        keep = np.sort(rng.choice(n_cells, size=max_voxels, replace=False))
+        remap = np.full(n_cells, -1, dtype=np.int64)
+        remap[keep] = np.arange(max_voxels)
+        inverse = remap[inverse]
+        n_cells = max_voxels
+    retained = inverse >= 0
+    counts = np.bincount(inverse[retained], minlength=n_cells).astype(np.float64)
+
+    def cell_mean(values):
+        acc = np.zeros((n_cells,) + values.shape[1:], dtype=np.float64)
+        np.add.at(acc, inverse[retained], values[retained])
+        return acc / counts.reshape((-1,) + (1,) * (values.ndim - 1))
+
+    centres = {
+        name: None if getattr(pc, name) is None else cell_mean(getattr(pc, name))
+        for name in ("points", "features", "fg_prob", "flow")
+    }
+    return centres, inverse
+
+
+def _attributed_cloud(seed, n, low, high, attributes=("features", "fg_prob", "flow")):
+    rng = np.random.default_rng(seed)
+    values = {
+        "features": rng.normal(size=(n, 5)),
+        "fg_prob": rng.uniform(size=n),
+        "flow": rng.normal(size=(n, 3)),
+    }
+    return PointCloud(rng.uniform(low, high, size=(n, 3)), **{a: values[a] for a in attributes})
+
+
+def _huge_key_cloud():
+    """Cell keys near +-4e18 in every column, where one packed int64 key overflows."""
+    rng = np.random.default_rng(3)
+    levels = np.array([-4e18, -4e18 + 2048.0, -1.0, 0.0, 1.0, 4e18 - 2048.0, 4e18])
+    pts = levels[rng.integers(0, len(levels), size=(600, 3))]
+    return PointCloud(pts, features=rng.normal(size=(600, 2)), fg_prob=rng.uniform(size=600))
+
+
+@pytest.mark.parametrize(
+    "pc, voxel_size, max_voxels, seed",
+    [
+        *[(_attributed_cloud(seed, 3000, 0.0, 2.0), 0.1, None, None) for seed in range(3)],
+        (_attributed_cloud(4, 3000, -3.0, -1.0), 0.1, None, None),
+        (_attributed_cloud(5, 3000, -1.0, 1.0), 0.07, None, None),
+        (_attributed_cloud(6, 3000, -1.0, 1.0), 0.1, 300, 7),
+        (_attributed_cloud(7, 500, 0.0, 1.0, ("fg_prob",)), 0.2, 20, None),
+        (_attributed_cloud(8, 1, 0.0, 1.0), 0.1, None, None),
+        (_huge_key_cloud(), 1.0, None, None),
+        (_huge_key_cloud(), 1.0, 100, 2),
+    ],
+    ids=[
+        "random-0",
+        "random-1",
+        "random-2",
+        "negative-coordinates",
+        "straddling-zero",
+        "max-voxels-cap",
+        "cap-default-rng-fg-prob-only",
+        "single-point",
+        "keys-near-4e18",
+        "keys-near-4e18-capped",
+    ],
+)
+def test_voxelize_bit_identical_to_unique_reference(pc, voxel_size, max_voxels, seed):
+    def rng():
+        return None if seed is None else np.random.default_rng(seed)
+
+    grid = voxelize(pc, voxel_size, max_voxels=max_voxels, rng=rng())
+    centres, point_to_voxel = unique_voxelize(pc, voxel_size, max_voxels=max_voxels, rng=rng())
+    assert np.array_equal(grid.point_to_voxel, point_to_voxel)
+    for name, expected in centres.items():
+        got = getattr(grid.voxel_centers, name)
+        assert (got is None) == (expected is None), name
+        if expected is not None:
+            assert np.array_equal(got, expected), name
 
 
 # ------------------------------------------------------- flow interpolation

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from rigidflow.geom import PointCloud
 from rigidflow.transport import (
@@ -120,6 +121,23 @@ def test_soft_assignment_recovers_permutation_below_underflow(rng):
 def test_soft_assignment_rejects_mismatched_features():
     with pytest.raises(ValueError, match="equal D"):
         soft_assignment(np.zeros((2, 3)), np.zeros((2, 4)), tau=0.1)
+
+
+@pytest.mark.parametrize("noise", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_soft_assignment_distances_match_cdist_on_near_duplicates(noise, seed):
+    # Unit-norm features against a noisy permutation of themselves: the
+    # near-duplicate pairs are where the Gram-expansion distance loses the
+    # most to cancellation. The logits are read back through the slack ratio
+    # exp(L_ij - 0), which stays above underflow for distances up to 2.
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(500, 32))
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    g = f[rng.permutation(500)] + noise * rng.normal(size=f.shape)
+    tau = 0.005
+    a = soft_assignment(f, g, tau, slack_logit=0.0, iterations=0)
+    distances = -tau * np.log(_slack_ratio(a))
+    assert np.abs(distances - cdist(f, g)).max() <= 1e-7
 
 
 # ------------------------------------------------------------------ sinkhorn
