@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rigidflow.flowhead import smooth_flow, soft_flow
 from rigidflow.geom import FlowField, PointCloud
+from rigidflow.transport import _BLOCK_ROWS, soft_assignment, soft_correspondences
 
 
 def _cloud(points, features):
@@ -80,6 +83,44 @@ def test_soft_flow_validates_inputs(rng):
     bare = PointCloud(rng.normal(size=(4, 3)))
     with pytest.raises(ValueError):
         soft_flow(bare, x, tau_flow=0.1)
+    wide = _cloud(rng.normal(size=(4, 3)), rng.normal(size=(4, 5)))
+    with pytest.raises(ValueError, match="equal D"):
+        soft_flow(x, wide, tau_flow=0.1)
+    empty = _cloud(np.zeros((0, 3)), np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="degenerate affinity"):
+        soft_flow(x, empty, tau_flow=0.1)
+
+
+@pytest.mark.parametrize(
+    "n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+)
+def test_streamed_soft_flow_matches_dense_assignment(n):
+    # the dense path holds the whole row-softmax matrix; the bound was set
+    # before the streamed flow head was written
+    rng = np.random.default_rng(n)
+    x = _cloud(rng.normal(size=(n, 3)), rng.normal(size=(n, 6)))
+    y = _cloud(rng.normal(size=(n + 7, 3)), rng.normal(size=(n + 7, 6)))
+    matched, _ = soft_correspondences(soft_assignment(x.features, y.features, 0.5, iterations=0), y)
+    out = soft_flow(x, y, tau_flow=0.5)
+    np.testing.assert_allclose(out.vectors, matched.points - x.points, rtol=0, atol=1e-12)
+
+
+def test_soft_flow_never_holds_the_full_matrix():
+    # a dense 2000 x 2000 float64 matrix alone would take 32 MB
+    rng = np.random.default_rng(0)
+    f = rng.normal(size=(2000, 32))
+    g = rng.normal(size=(2000, 32))
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    x = _cloud(rng.normal(size=(2000, 3)), f)
+    y = _cloud(rng.normal(size=(2000, 3)), g)
+    tracemalloc.start()
+    try:
+        soft_flow(x, y, tau_flow=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_smooth_flow_constant_field_unchanged(rng):

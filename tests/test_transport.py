@@ -4,6 +4,7 @@ from scipy.spatial.distance import cdist
 
 from rigidflow.geom import PointCloud
 from rigidflow.transport import (
+    _BLOCK_ROWS,
     AssignmentMatrix,
     sinkhorn,
     soft_assignment,
@@ -118,6 +119,13 @@ def test_soft_assignment_recovers_permutation_below_underflow(rng):
         assert np.array_equal(a.real.argmax(axis=1), perm)
 
 
+def test_soft_assignment_row_beyond_reach_goes_to_slack():
+    # every real logit sits 1000 below the slack logit: the row max includes
+    # the slack, so the row keeps its mass there instead of overflowing
+    a = soft_assignment([[0.0]], [[10.0], [11.0]], 0.01, slack_logit=0.0, iterations=0)
+    np.testing.assert_array_equal(a.values[0], [0.0, 0.0, 1.0])
+
+
 def test_soft_assignment_rejects_mismatched_features():
     with pytest.raises(ValueError, match="equal D"):
         soft_assignment(np.zeros((2, 3)), np.zeros((2, 4)), tau=0.1)
@@ -138,6 +146,36 @@ def test_soft_assignment_distances_match_cdist_on_near_duplicates(noise, seed):
     a = soft_assignment(f, g, tau, slack_logit=0.0, iterations=0)
     distances = -tau * np.log(_slack_ratio(a))
     assert np.abs(distances - cdist(f, g)).max() <= 1e-7
+
+
+def _dense_reference(fx, fy, tau, slack_logit, iterations):
+    """Double-loop logits, one row shift (slack included), then one row sweep
+    when iterations is 0 and `reference_sinkhorn` otherwise."""
+    n, m = len(fx), len(fy)
+    full = np.full((n + 1, m + 1), -np.inf if slack_logit is None else slack_logit)
+    full[:n, :m] = _logits(fx, fy, tau)
+    full[:n] -= full[:n].max(axis=1, keepdims=True)
+    full = np.exp(full)
+    if iterations == 0:
+        full[:n] /= full[:n].sum(axis=1, keepdims=True)
+        return full
+    return reference_sinkhorn(full, n, m, iterations)
+
+
+@pytest.mark.parametrize("slack_logit", [None, -2.0])
+@pytest.mark.parametrize("iterations", [0, 1, 3])
+@pytest.mark.parametrize(
+    "n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+)
+def test_blocked_soft_assignment_matches_dense_reference(n, iterations, slack_logit):
+    # row counts around the block height catch a lost, repeated or shifted
+    # block; the bound was set before the blocked kernel was written
+    rng = np.random.default_rng(n)
+    fx = rng.normal(size=(n, 6))
+    fy = rng.normal(size=(40, 6))
+    out = soft_assignment(fx, fy, 0.5, slack_logit=slack_logit, iterations=iterations)
+    expected = _dense_reference(fx, fy, 0.5, slack_logit, iterations)
+    np.testing.assert_allclose(out.values, expected, rtol=1e-10, atol=0)
 
 
 # ------------------------------------------------------------------ sinkhorn
@@ -201,12 +239,27 @@ def test_sinkhorn_double_stochasticity_well_conditioned(rng):
     assert np.array_equal(out.real.argmax(axis=1), perm)
 
 
+def test_assignment_matrix_rejects_negative_entries():
+    v = np.full((3, 4), 0.5)
+    v[1, 3] = -1e-300
+    with pytest.raises(ValueError, match="nonnegative"):
+        AssignmentMatrix(v, n_rows=2, n_cols=3)
+
+
 def test_sinkhorn_rejects_zero_rows():
     v = np.zeros((3, 3))
     v[0, 0] = 1.0
     a = AssignmentMatrix(v, n_rows=2, n_cols=2)
     with pytest.raises(ValueError, match="degenerate affinity"):
         sinkhorn(a, iterations=3)
+
+
+def test_sinkhorn_rejects_column_too_light_to_scale():
+    # the column's mass is subnormal, so its scale 1 / mass is not a finite double
+    v = np.zeros((3, 3))
+    v[:2, :2] = [[1.0, 1e-310], [1.0, 1e-310]]
+    with pytest.raises(ValueError, match="degenerate affinity"):
+        sinkhorn(AssignmentMatrix(v, n_rows=2, n_cols=2), iterations=1)
 
 
 def test_sinkhorn_output_stays_positive(rng):
