@@ -2,12 +2,15 @@
 
 Everything here is a pure function of its inputs. Containers are frozen
 dataclasses wrapping numpy arrays; callers must not mutate the arrays after
-construction.
+construction. That is what lets a `PointCloud` cache its KD-tree
+(`PointCloud.kdtree`, built on first use): `select`, `dataclasses.replace`
+and `apply_transform` return new clouds, so a cached tree is never stale.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +92,11 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @functools.cached_property
+    def kdtree(self) -> cKDTree:
+        """KD-tree over `points`, built on first access and kept for the cloud's life."""
+        return cKDTree(self.points)
 
     def select(self, index) -> "PointCloud":
         """Return the sub-cloud at `index` (any numpy row index), attributes included."""

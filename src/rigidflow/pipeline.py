@@ -239,14 +239,14 @@ def preprocess(
     keep = np.linalg.norm(pc.points, axis=1) <= cfg.range_cutoff
     if cfg.remove_ground:
         keep &= pc.points[:, 1] > cfg.ground_removal_y
-    out = pc.select(np.flatnonzero(keep))
-    if len(out) < 3:
+    index = np.flatnonzero(keep)
+    if len(index) < 3:
         raise ValueError("insufficient points")
-    if len(out) > cfg.max_points:
+    if len(index) > cfg.max_points:
         if rng is None:
             rng = np.random.default_rng(cfg.seed)
-        out = out.select(rng.choice(len(out), size=cfg.max_points, replace=False))
-    return out
+        index = index[rng.choice(len(index), size=cfg.max_points, replace=False)]
+    return pc.select(index)
 
 
 def with_xyz_features(pc: PointCloud) -> PointCloud:
@@ -359,7 +359,9 @@ def infer_rigid_flow(
         sel = clusters.labels == k
         try:
             transforms.append(
-                fit_cluster_transform(fg_x.select(sel), FlowField(unconstrained.vectors[sel]))
+                fit_cluster_transform(
+                    PointCloud(fg_x.points[sel]), FlowField(unconstrained.vectors[sel])
+                )
             )
             fitted.append(True)
         except ValueError:

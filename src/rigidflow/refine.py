@@ -7,10 +7,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geom import PointCloud, RigidTransform, compose
-from .rigidfit import WeightedCorrespondenceSet, weighted_kabsch
+from .rigidfit import _kabsch
 
 if TYPE_CHECKING:
     from .pipeline import SceneDecomposition
@@ -68,10 +67,13 @@ def icp_refine(
     (the gate admits new, farther pairs as alignment improves, so an increase
     is possible; the best transform seen is what is returned). The returned
     transform's matched RMSE is therefore never worse than the initial one.
+
+    Matches come from `target.kdtree`, so runs against the same target cloud
+    share one tree.
     """
     if len(source) == 0 or len(target) == 0:
         raise ValueError("source and target must be nonempty")
-    tree = cKDTree(target.points)
+    tree = target.kdtree
     gate = cfg.max_correspondence_distance
     src = source.points
 
@@ -101,13 +103,8 @@ def icp_refine(
         prev = rmse
         if n_matched < 3:
             break
-        pairs = WeightedCorrespondenceSet(
-            source=PointCloud(moved[matched]),
-            target=PointCloud(target.points[idx[matched]]),
-            weights=np.ones(n_matched),
-        )
         try:
-            delta = weighted_kabsch(pairs)
+            delta = _kabsch(moved[matched], target.points[idx[matched]], np.ones(n_matched))
         except ValueError:
             break  # degenerate match geometry: keep the best so far
         current = compose(delta, current)
@@ -126,9 +123,10 @@ def refine_scene(
     The ego-motion is refined by registering the source background onto the
     target background (default gate 0.15 m); each cluster is refined against
     all foreground points of the target (default gate 0.25 m), since
-    instance-level correspondence is unknown. Entities that cannot be
-    refined (no gated overlap, too few points, degenerate geometry) keep
-    their input transforms. Masks and cluster labels are never modified.
+    instance-level correspondence is unknown; all cluster runs share the
+    target foreground's KD-tree. Entities that cannot be refined (no gated
+    overlap, too few points, degenerate geometry) keep their input
+    transforms. Masks and cluster labels are never modified.
     """
     if cfg_bg is None:
         cfg_bg = IcpConfig(max_correspondence_distance=0.15)
@@ -137,23 +135,24 @@ def refine_scene(
 
     ego = decomp.ego
     ego_refined = False
-    bg_x = x.select(decomp.bg_mask_x)
-    bg_y = y.select(decomp.bg_mask_y)
+    # ICP reads coordinates only; selecting features too would copy them.
+    bg_x = PointCloud(x.points[decomp.bg_mask_x])
+    bg_y = PointCloud(y.points[decomp.bg_mask_y])
     if len(bg_x) >= 3 and len(bg_y) > 0:
         result = icp_refine(bg_x, bg_y, decomp.ego, cfg_bg)
         if not result.no_overlap:
             ego = result.transform
             ego_refined = True
 
-    fg_x = x.select(~decomp.bg_mask_x)
-    fg_y = y.select(~decomp.bg_mask_y)
+    fg_x = x.points[~decomp.bg_mask_x]
+    fg_y = PointCloud(y.points[~decomp.bg_mask_y])
     transforms = list(decomp.cluster_transforms)
     refined = [False] * len(transforms)
     if len(fg_y) > 0:
         for k, fitted in enumerate(decomp.cluster_fitted):
             if not fitted:
                 continue
-            pts = fg_x.select(decomp.clusters.labels == k)
+            pts = PointCloud(fg_x[decomp.clusters.labels == k])
             if len(pts) < 3:
                 continue
             result = icp_refine(pts, fg_y, transforms[k], cfg_fg)

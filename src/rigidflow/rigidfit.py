@@ -65,13 +65,20 @@ def weighted_kabsch(c: WeightedCorrespondenceSet) -> RigidTransform:
             positive weight or rank(S) < 2 (e.g. collinear source points).
     """
     w = c.weights
-    total = w.sum()
-    if total <= 0:
+    if w.sum() <= 0:
         raise ValueError("zero total weight")
     if np.count_nonzero(w > 0) < 3:
         raise ValueError("degenerate correspondence geometry")
-    src = c.source.points
-    tgt = c.target.points
+    return _kabsch(c.source.points, c.target.points, w)
+
+
+def _kabsch(src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> RigidTransform:
+    """The `weighted_kabsch` solve on (L, 3) arrays whose weights were checked.
+
+    Raises:
+        ValueError: "degenerate correspondence geometry" when rank(S) < 2.
+    """
+    total = w.sum()
     x_bar = (w @ src) / total
     q_bar = (w @ tgt) / total
     s = (src - x_bar).T @ ((tgt - q_bar) * w[:, None])

@@ -237,16 +237,22 @@ def soft_correspondences(
     `sinkhorn`). A row whose real entries are all zero gets weight 0 and, when
     `source` is given, its own source point as a stand-in match, which keeps it
     inert under weighted fitting.
+
+    Both reads come from one product of the real rows with [y | 1] (a zero
+    row for the slack column), so the matrix is read once.
     """
     if len(target) != a.n_cols:
         raise ValueError("target size does not match assignment columns")
     if source is not None and len(source) != a.n_rows:
         raise ValueError("source size does not match assignment rows")
-    real = a.real
-    weights = real.sum(axis=1)
+    targets = np.zeros((a.n_cols + 1, 4))
+    targets[: a.n_cols, :3] = target.points
+    targets[: a.n_cols, 3] = 1.0
+    acc = a.values[: a.n_rows] @ targets
+    weights = acc[:, 3].copy()
     dead = weights == 0
     denom = np.where(dead, 1.0, weights)
-    points = (real @ target.points) / denom[:, None]
+    points = acc[:, :3] / denom[:, None]
     if np.any(dead):
         points[dead] = source.points[dead] if source is not None else 0.0
     return PointCloud(points=points), weights

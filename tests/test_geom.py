@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from rigidflow.geom import (
     FlowField,
@@ -164,6 +167,38 @@ def test_select_subsets_all_attributes(rng):
     assert len(sub) == 3
     np.testing.assert_array_equal(sub.features, pc.features[[2, 5, 7]])
     np.testing.assert_array_equal(sub.cluster_id, [2, 5, 7])
+
+
+def _assert_same_queries(tree, points, queries):
+    want_d, want_i = cKDTree(points).query(queries, k=2)
+    got_d, got_i = tree.query(queries, k=2)
+    np.testing.assert_array_equal(got_d, want_d)
+    np.testing.assert_array_equal(got_i, want_i)
+
+
+def test_kdtree_is_built_once_and_matches_a_fresh_tree(rng):
+    pc = PointCloud(rng.normal(size=(200, 3)))
+    tree = pc.kdtree
+    assert pc.kdtree is tree
+    _assert_same_queries(tree, pc.points, rng.normal(size=(50, 3)))
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda pc, t: apply_transform(t, pc),
+        lambda pc, t: pc.select(np.arange(0, len(pc), 3)),
+        lambda pc, t: dataclasses.replace(pc, points=pc.points + 1.0),
+    ],
+    ids=["apply_transform", "select", "replace"],
+)
+def test_derived_cloud_gets_its_own_tree(rng, derive):
+    pc = PointCloud(rng.normal(size=(120, 3)), features=rng.normal(size=(120, 4)))
+    old_tree = pc.kdtree
+    new = derive(pc, make_transform(rng, max_translation=2.0))
+    assert new.kdtree is not old_tree
+    _assert_same_queries(new.kdtree, new.points, rng.normal(size=(40, 3)))
+    assert pc.kdtree is old_tree
 
 
 # ---------------------------------------------------------------- voxelize

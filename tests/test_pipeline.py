@@ -63,6 +63,57 @@ def test_preprocess_insufficient_points():
         preprocess(PointCloud([[100.0, 100.0, 100.0]]), PipelineConfig())
 
 
+def _two_step_preprocess(pc, cfg, rng=None):
+    """The former `preprocess`: select the range cut, then select the subsample."""
+    keep = np.linalg.norm(pc.points, axis=1) <= cfg.range_cutoff
+    if cfg.remove_ground:
+        keep &= pc.points[:, 1] > cfg.ground_removal_y
+    out = pc.select(np.flatnonzero(keep))
+    if len(out) < 3:
+        raise ValueError("insufficient points")
+    if len(out) > cfg.max_points:
+        if rng is None:
+            rng = np.random.default_rng(cfg.seed)
+        out = out.select(rng.choice(len(out), size=cfg.max_points, replace=False))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, extent, changes",
+    [
+        (300, 5.0, {}),  # nothing cut, nothing sampled
+        (300, 60.0, {}),  # range cut only
+        (3000, 5.0, {"max_points": 1000}),  # subsample only
+        (6000, 40.0, {"max_points": 500}),  # range cut, then subsample
+        (6000, 40.0, {"max_points": 500, "remove_ground": True}),
+    ],
+)
+@pytest.mark.parametrize("seeded", [True, False])
+def test_preprocess_equals_two_step_select(rng, n, extent, changes, seeded):
+    pc = PointCloud(
+        rng.uniform(-extent, extent, size=(n, 3)),
+        features=rng.normal(size=(n, 5)),
+        fg_prob=rng.uniform(size=n),
+        cluster_id=rng.integers(-1, 4, size=n),
+        flow=rng.normal(size=(n, 3)),
+    )
+    cfg = dataclasses.replace(PipelineConfig(), **changes)
+    out = preprocess(pc, cfg, np.random.default_rng(7) if seeded else None)
+    want = _two_step_preprocess(pc, cfg, np.random.default_rng(7) if seeded else None)
+    for f in dataclasses.fields(PointCloud):
+        got_a, want_a = getattr(out, f.name), getattr(want, f.name)
+        assert got_a.dtype == want_a.dtype
+        assert np.array_equal(got_a, want_a), f.name
+
+
+def test_preprocess_insufficient_points_as_two_step(rng):
+    pts = np.vstack([rng.uniform(-1.0, 1.0, size=(2, 3)), rng.uniform(50.0, 60.0, size=(5000, 3))])
+    cfg = dataclasses.replace(PipelineConfig(), max_points=100)
+    for fn in (preprocess, _two_step_preprocess):
+        with pytest.raises(ValueError, match="insufficient points"):
+            fn(PointCloud(pts), cfg)
+
+
 def test_preprocess_sampling_uniformity_chi_square(rng):
     # split 20k points into 20 index bins; across repeated seeds, retention
     # should be uniform; aggregate chi-square must not be extreme

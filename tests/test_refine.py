@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+import rigidflow.geom
+import rigidflow.refine
 from rigidflow.cluster import ClusterLabeling
 from rigidflow.geom import (
     PointCloud,
@@ -13,7 +16,8 @@ from rigidflow.geom import (
     rotation_about_axis,
 )
 from rigidflow.pipeline import SceneDecomposition
-from rigidflow.refine import IcpConfig, icp_refine, refine_scene
+from rigidflow.refine import IcpConfig, IcpResult, icp_refine, refine_scene
+from rigidflow.rigidfit import WeightedCorrespondenceSet, weighted_kabsch
 
 from conftest import make_transform
 
@@ -127,6 +131,119 @@ def test_icp_validates_empty_inputs(rng):
         icp_refine(empty, pc, RigidTransform.identity(), IcpConfig(0.1))
 
 
+def reference_icp(source, target, initial, cfg):
+    """The former `icp_refine`: a fresh tree per call, and validated clouds,
+    a correspondence set and `weighted_kabsch` in every iteration."""
+    if len(source) == 0 or len(target) == 0:
+        raise ValueError("source and target must be nonempty")
+    tree = cKDTree(target.points)
+    gate = cfg.max_correspondence_distance
+    src = source.points
+
+    current = initial
+    best_transform, best_rmse = initial, np.inf
+    history = []
+    prev = None
+    for _ in range(cfg.max_iterations):
+        moved = current.apply(src)
+        dist, idx = tree.query(moved, k=1, distance_upper_bound=gate)
+        matched = np.isfinite(dist)
+        n_matched = int(matched.sum())
+        if n_matched == 0:
+            if not history:
+                return IcpResult(initial, np.inf, 0, True, ())
+            break
+        rmse = float(np.sqrt(np.mean(dist[matched] ** 2)))
+        if prev is not None and rmse > prev:
+            break
+        history.append(rmse)
+        if rmse < best_rmse:
+            best_transform, best_rmse = current, rmse
+        if rmse == 0.0:
+            break
+        if prev is not None and abs(prev - rmse) <= cfg.convergence_epsilon * prev:
+            break
+        prev = rmse
+        if n_matched < 3:
+            break
+        pairs = WeightedCorrespondenceSet(
+            source=PointCloud(moved[matched]),
+            target=PointCloud(target.points[idx[matched]]),
+            weights=np.ones(n_matched),
+        )
+        try:
+            delta = weighted_kabsch(pairs)
+        except ValueError:
+            break
+        current = compose(delta, current)
+    return IcpResult(best_transform, best_rmse, len(history), False, tuple(history))
+
+
+def _surface_case(seed, noise, cfg):
+    rng = np.random.default_rng(seed)
+    src = _dense_surface(rng, n=700)
+    t_gt = make_transform(rng, max_angle_deg=5.0, max_translation=0.3)
+    tgt = PointCloud(t_gt.apply(src.points) + rng.normal(scale=noise, size=src.points.shape))
+    return src, tgt, compose(_perturbation(rng, 1.5, 0.08), t_gt), cfg
+
+
+def _no_overlap_case(seed):
+    rng = np.random.default_rng(seed)
+    src = PointCloud(rng.normal(size=(30, 3)))
+    return src, PointCloud(rng.normal(size=(30, 3)) + 10.0), RigidTransform.identity(), IcpConfig(0.15)
+
+
+def _two_matches_case(seed):
+    # only two target points lie inside the gate of any moved source point
+    rng = np.random.default_rng(seed)
+    src = PointCloud(rng.normal(size=(40, 3)))
+    tgt = PointCloud(np.vstack([src.points[:2] + 0.01, rng.normal(size=(20, 3)) + 50.0]))
+    return src, tgt, RigidTransform.identity(), IcpConfig(0.15)
+
+
+def _collinear_case(seed):
+    # every match lies on one line: the rigid fit is degenerate on the first step
+    rng = np.random.default_rng(seed)
+    line = np.outer(np.linspace(-2.0, 2.0, 60), [1.0, 0.5, -0.2])
+    tgt = PointCloud(line)
+    return PointCloud(line + 0.02 * rng.normal(size=line.shape)), tgt, RigidTransform.identity(), IcpConfig(0.3)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _surface_case(0, 0.0, IcpConfig(0.3)),
+        lambda: _surface_case(1, 0.01, IcpConfig(0.3)),
+        lambda: _surface_case(2, 0.005, IcpConfig(0.2, max_iterations=50, convergence_epsilon=1e-9)),
+        lambda: _no_overlap_case(3),
+        lambda: _two_matches_case(4),
+        lambda: _collinear_case(5),
+        lambda: _surface_case(6, 0.01, IcpConfig(0.3, max_iterations=1)),
+    ],
+    ids=["surface", "noisy-surface", "tight-gate", "no-overlap", "two-matches", "collinear", "one-iteration"],
+)
+def test_icp_bit_identical_to_reference(case):
+    source, target, initial, cfg = case()
+    got = icp_refine(source, target, initial, cfg)
+    want = reference_icp(source, target, initial, cfg)
+    assert np.array_equal(got.transform.rotation, want.transform.rotation)
+    assert np.array_equal(got.transform.translation, want.transform.translation)
+    assert got.rmse == want.rmse
+    assert got.iterations == want.iterations
+    assert got.no_overlap == want.no_overlap
+    assert got.rmse_history == want.rmse_history
+
+
+def test_icp_reference_cases_reach_their_branch():
+    # guards the parity cases above against drifting into the common path
+    assert reference_icp(*_no_overlap_case(3)).no_overlap
+    two = reference_icp(*_two_matches_case(4))
+    assert (two.iterations, two.no_overlap) == (1, False)
+    collinear = reference_icp(*_collinear_case(5))
+    assert (collinear.iterations, collinear.no_overlap) == (1, False)
+    assert reference_icp(*_surface_case(0, 0.0, IcpConfig(0.3))).iterations > 3
+
+
 # ----------------------------------------------------------------- scenes
 
 
@@ -231,3 +348,43 @@ def test_refine_scene_never_touches_masks_or_labels(rng):
     np.testing.assert_array_equal(out.bg_mask_x, decomp.bg_mask_x)
     np.testing.assert_array_equal(out.bg_mask_y, decomp.bg_mask_y)
     np.testing.assert_array_equal(out.clusters.labels, decomp.clusters.labels)
+
+
+def _three_cluster_scene(rng):
+    ego = make_transform(rng, max_angle_deg=2.0, max_translation=0.3)
+    ts = [make_transform(rng, max_angle_deg=4.0, max_translation=0.4) for _ in range(3)]
+    return _scene_decomp(rng, ego, ts)
+
+
+def test_refine_scene_builds_one_tree_per_target_cloud(rng, monkeypatch):
+    decomp, x, y = _three_cluster_scene(rng)
+    builds = []
+
+    def counting_tree(*args, **kwargs):
+        builds.append(len(args[0]))
+        return cKDTree(*args, **kwargs)
+
+    monkeypatch.setattr(rigidflow.geom, "cKDTree", counting_tree)
+    monkeypatch.setattr(rigidflow.refine, "cKDTree", counting_tree, raising=False)
+    out = refine_scene(decomp, x, y)
+    assert out.ego_refined and all(out.cluster_refined)
+    # one tree for the target background, one shared by the three cluster runs
+    assert len(builds) <= 2
+
+
+def test_refine_scene_calls_icp_by_module_name_once_per_run(rng, monkeypatch):
+    # the benchmark tracer wraps `rigidflow.refine.icp_refine`; a refactor that
+    # bypassed the name would silently blind it
+    decomp, x, y = _three_cluster_scene(rng)
+    calls = []
+
+    def counting_icp(*args, **kwargs):
+        result = icp_refine(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(rigidflow.refine, "icp_refine", counting_icp)
+    out = refine_scene(decomp, x, y)
+    assert len(calls) == 1 + decomp.clusters.n_clusters
+    assert calls[0].transform is out.ego
+    assert all(c.transform is t for c, t in zip(calls[1:], out.cluster_transforms))

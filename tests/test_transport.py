@@ -324,6 +324,29 @@ def test_soft_correspondences_permutation_reproduces_target(rng):
     np.testing.assert_allclose(weights, np.ones(n), atol=1e-12)
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (7, 12), (130, 90)])
+def test_soft_correspondences_match_two_reads_of_the_real_block(rng, n, m):
+    a = soft_assignment(rng.normal(size=(n, 6)), rng.normal(size=(m, 6)), 0.4, slack_logit=-1.0)
+    v = a.values.copy()
+    v[0, :m] = 0.0  # one dead row
+    v[:, m] = 1e6  # slack column and row carry mass the reads must ignore
+    v[n] = 1e6
+    a = AssignmentMatrix(v, n_rows=n, n_cols=m)
+    target = PointCloud(rng.normal(size=(m, 3)) * 10.0)
+    source = PointCloud(rng.normal(size=(n, 3)))
+    points, weights = soft_correspondences(a, target, source=source)
+
+    real = v[:n, :m]
+    want_w = real.sum(axis=1)
+    live = want_w > 0
+    np.testing.assert_allclose(weights, want_w, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(
+        points.points[live], (real[live] @ target.points) / want_w[live, None], rtol=0, atol=1e-12
+    )
+    np.testing.assert_array_equal(points.points[0], source.points[0])
+    assert weights[0] == 0.0
+
+
 def test_sinkhorn_weights_in_unit_interval(rng):
     fx = rng.normal(size=(10, 5))
     fy = rng.normal(size=(12, 5))
