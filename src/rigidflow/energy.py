@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cluster import ClusterLabeling
 from .geom import FlowField, PointCloud, RigidTransform
@@ -153,8 +152,8 @@ def chamfer_loss(fg_x_warped: PointCloud, fg_y: PointCloud, normalized: bool = F
     """
     if len(fg_x_warped) == 0 or len(fg_y) == 0:
         raise ValueError("empty foreground")
-    d_xy, _ = cKDTree(fg_y.points).query(fg_x_warped.points, k=1)
-    d_yx, _ = cKDTree(fg_x_warped.points).query(fg_y.points, k=1)
+    d_xy, _ = fg_y.kdtree.query(fg_x_warped.points, k=1)
+    d_yx, _ = fg_x_warped.kdtree.query(fg_y.points, k=1)
     if normalized:
         return float(d_xy.mean() + d_yx.mean())
     return float(d_xy.sum() + d_yx.sum())

@@ -14,6 +14,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 __all__ = [
@@ -122,9 +123,20 @@ class RigidTransform:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
-        if np.abs(r.T @ r - np.eye(3)).max() > 1e-9:
+        # On Python floats: the six distinct entries of R^T R - I, then the
+        # cofactor determinant. A NaN entry fails the first check.
+        (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+        gram = (
+            a * a + d * d + g * g - 1.0,
+            b * b + e * e + h * h - 1.0,
+            c * c + f * f + i * i - 1.0,
+            a * b + d * e + g * h,
+            a * c + d * f + g * i,
+            b * c + e * f + h * i,
+        )
+        if not all(abs(v) <= 1e-9 for v in gram):
             raise ValueError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(r) - 1.0) > 1e-9:
+        if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > 1e-9:
             raise ValueError("rotation determinant is not +1 within 1e-9")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
@@ -231,6 +243,11 @@ def voxelize(
     cannot be meaningfully averaged). If more than `max_voxels` cells are
     occupied, a uniform random subset of cells is kept (seeded via `rng`).
 
+    Each attribute is averaged by one sparse product with a cells x points
+    0/1 matrix whose rows list their points in ascending point order, so
+    every cell sums its points from 0.0 in point order (as a per-column
+    `bincount` would), then divides by its count.
+
     Raises:
         ValueError: on an empty input cloud or nonpositive voxel size.
     """
@@ -259,15 +276,17 @@ def voxelize(
         inverse = remap[inverse]
         n_cells = max_voxels
 
+    # Row c of `agg` lists cell c's points in ascending point order: lexsort
+    # is stable, and the cap's remap keeps cell order.
     retained = inverse >= 0
-    cell = inverse[retained]
-    counts = np.bincount(cell, minlength=n_cells).astype(np.float64)
+    members = order[retained[order]]
+    counts = np.bincount(inverse[retained], minlength=n_cells)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    agg = sparse.csr_array((np.ones(len(members)), members, indptr), shape=(n_cells, len(pc)))
+    counts = counts.astype(np.float64)
 
     def cell_mean(values: np.ndarray) -> np.ndarray:
-        # bincount sums each cell in point order, one column at a time.
-        columns = values[retained].reshape(len(cell), -1).T
-        acc = np.stack([np.bincount(cell, weights=c, minlength=n_cells) for c in columns], axis=1)
-        return (acc / counts[:, None]).reshape((n_cells,) + values.shape[1:])
+        return (agg @ values) / counts.reshape((-1,) + (1,) * (values.ndim - 1))
 
     centers = PointCloud(
         points=cell_mean(pc.points),
@@ -290,21 +309,44 @@ def transfer_flow_to_points(
     normalized by sum_j 1 / d_j (Euclidean distances). A point coinciding
     with a voxel center takes that voxel's flow exactly. When the grid has
     fewer than k voxels, all of them are used.
+
+    When `original` has as many points as the voxelized cloud, a point whose
+    coordinates equal its own voxel's center (`grid.point_to_voxel`) takes
+    that voxel's flow by lookup; a point alone in its cell always does. Only
+    the other points (in multi-point cells, dropped by the `max_voxels` cap,
+    or of another cloud) are queried, on the centers' cached KD-tree.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     centers = grid.voxel_centers.points
     if len(voxel_flow) != len(centers):
         raise ValueError("voxel_flow length does not match voxel count")
-    k_eff = min(k, len(centers))
-    dist, idx = cKDTree(centers).query(original.points, k=k_eff)
-    dist = dist.reshape(len(original), k_eff)
-    idx = idx.reshape(len(original), k_eff)
+    points = original.points
+    out = np.empty((len(original), 3))
 
-    flows = voxel_flow.vectors[idx]  # (N, k, 3)
+    # A point equal to its own voxel's center, as every point alone in its
+    # cell is, takes that voxel's flow without a query.
+    rest = np.ones(len(original), dtype=bool)
+    own = grid.point_to_voxel
+    if len(own) == len(original):
+        kept = np.flatnonzero(own >= 0)
+        hit = kept[np.all(centers[own[kept]] == points[kept], axis=1)]
+        out[hit] = voxel_flow.vectors[own[hit]]
+        rest[hit] = False
+    rest = np.flatnonzero(rest)
+    if len(rest) == 0:
+        return FlowField(out)
+
+    k_eff = min(k, len(centers))
+    dist, idx = grid.voxel_centers.kdtree.query(points[rest], k=k_eff)
+    dist = dist.reshape(len(rest), k_eff)
+    idx = idx.reshape(len(rest), k_eff)
+
+    flows = voxel_flow.vectors[idx]  # (n, k, 3)
     exact = dist[:, 0] == 0.0
     safe = np.where(dist == 0.0, 1.0, dist)  # exact rows are overwritten below
     w = 1.0 / safe
-    out = (w[:, :, None] * flows).sum(axis=1) / w.sum(axis=1)[:, None]
-    out[exact] = voxel_flow.vectors[idx[exact, 0]]
+    interp = (w[:, :, None] * flows).sum(axis=1) / w.sum(axis=1)[:, None]
+    interp[exact] = voxel_flow.vectors[idx[exact, 0]]
+    out[rest] = interp
     return FlowField(out)

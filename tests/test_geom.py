@@ -116,6 +116,60 @@ def test_rotation_invariants_enforced():
         RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # reflection
 
 
+def _sheared(delta):
+    # R^T R - I has largest entry delta off the diagonal; det stays 1
+    m = np.eye(3)
+    m[0, 1] = delta
+    return m
+
+
+def _scaled(eps):
+    # R^T R - I = (2 eps + eps^2) I, det - 1 = 3 eps + O(eps^2)
+    return np.eye(3) * (1.0 + eps)
+
+
+@pytest.mark.parametrize("base", ["identity", "rotated"])
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (_sheared(0.5e-9), None),
+        (_sheared(2e-9), "not orthonormal within 1e-9"),
+        (_scaled(0.5e-9 / 3.0), None),  # orthonormality 0.33e-9, det 0.5e-9
+        (_scaled(0.45e-9), "determinant is not \\+1 within 1e-9"),  # 0.9e-9, 1.35e-9
+        (_scaled(2e-9), "not orthonormal within 1e-9"),  # 4e-9, 6e-9
+        (np.diag([1.0, 1.0, -1.0]), "determinant is not \\+1 within 1e-9"),
+        (np.diag([-1.0, -1.0, -1.0]), "determinant is not \\+1 within 1e-9"),
+    ],
+    ids=[
+        "shear-0.5e-9",
+        "shear-2e-9",
+        "scale-det-0.5e-9",
+        "scale-det-1.35e-9",
+        "scale-2e-9",
+        "reflection",
+        "point-reflection",
+    ],
+)
+def test_rotation_checks_on_both_sides_of_each_threshold(matrix, message, base):
+    q = np.eye(3) if base == "identity" else rotation_about_axis([1.0, -2.0, 0.5], 2.1)
+    rotation = q @ matrix
+    if message is None:
+        t = RigidTransform(rotation, [1.0, 2.0, 3.0])
+        assert np.array_equal(t.rotation, rotation)
+        assert np.array_equal(t.translation, [1.0, 2.0, 3.0])
+    else:
+        with pytest.raises(ValueError, match=message):
+            RigidTransform(rotation, np.zeros(3))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rotation_rejects_non_finite(value):
+    r = np.eye(3)
+    r[2, 1] = value
+    with pytest.raises(ValueError, match="not orthonormal within 1e-9"):
+        RigidTransform(r, np.zeros(3))
+
+
 # ---------------------------------------------------------------- point cloud
 
 
@@ -326,6 +380,31 @@ def _huge_key_cloud():
     return PointCloud(pts, features=rng.normal(size=(600, 2)), fg_prob=rng.uniform(size=600))
 
 
+def _dense_cell_cloud():
+    """24 unit cells of 50-80 points each, shuffled, attributes spanning 1e-8 to 1e8.
+
+    With this many points per cell and this dynamic range, a pairwise or a
+    value-sorted summation rounds differently from a sum in point order.
+    """
+    rng = np.random.default_rng(11)
+    corners = np.concatenate([rng.integers(-3, 3, size=(16, 3)), rng.integers(-3, 3, size=(8, 3)) + 10**8])
+    corners = np.unique(corners, axis=0)
+    sizes = rng.integers(50, 81, size=len(corners))
+    pts = np.repeat(corners, sizes, axis=0) + rng.uniform(0.0, 0.999, size=(sizes.sum(), 3))
+    n = len(pts)
+
+    def spread(shape):
+        return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+
+    order = rng.permutation(n)
+    return PointCloud(
+        pts[order],
+        features=spread((n, 4)),
+        fg_prob=10.0 ** rng.uniform(-8.0, 0.0, size=n),
+        flow=spread((n, 3)),
+    )
+
+
 @pytest.mark.parametrize(
     "pc, voxel_size, max_voxels, seed",
     [
@@ -337,6 +416,7 @@ def _huge_key_cloud():
         (_attributed_cloud(8, 1, 0.0, 1.0), 0.1, None, None),
         (_huge_key_cloud(), 1.0, None, None),
         (_huge_key_cloud(), 1.0, 100, 2),
+        (_dense_cell_cloud(), 1.0, None, None),
     ],
     ids=[
         "random-0",
@@ -349,6 +429,7 @@ def _huge_key_cloud():
         "single-point",
         "keys-near-4e18",
         "keys-near-4e18-capped",
+        "dense-cells-wide-range",
     ],
 )
 def test_voxelize_bit_identical_to_unique_reference(pc, voxel_size, max_voxels, seed):
@@ -427,3 +508,157 @@ def test_transfer_matches_inverse_distance_oracle(rng):
         w = 1.0 / d[nearest]
         expected = (w[:, None] * vec[nearest]).sum(axis=0) / w.sum()
         np.testing.assert_allclose(out.vectors[i], expected, atol=1e-10)
+
+
+def reference_transfer(grid, voxel_flow, original, k=3):
+    """The former `transfer_flow_to_points`: a k-NN query for every point.
+
+    Kept as the reference for the exact-center lookup, whose output must
+    match it bit for bit.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    centers = grid.voxel_centers.points
+    if len(voxel_flow) != len(centers):
+        raise ValueError("voxel_flow length does not match voxel count")
+    k_eff = min(k, len(centers))
+    dist, idx = cKDTree(centers).query(original.points, k=k_eff)
+    dist = dist.reshape(len(original), k_eff)
+    idx = idx.reshape(len(original), k_eff)
+
+    flows = voxel_flow.vectors[idx]  # (N, k, 3)
+    exact = dist[:, 0] == 0.0
+    safe = np.where(dist == 0.0, 1.0, dist)  # exact rows are overwritten below
+    w = 1.0 / safe
+    out = (w[:, :, None] * flows).sum(axis=1) / w.sum(axis=1)[:, None]
+    out[exact] = voxel_flow.vectors[idx[exact, 0]]
+    return FlowField(out)
+
+
+def _mixed_cloud(seed=21, n=3000):
+    # solo cells and multi-point cells at voxel 0.1
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.5, size=(n, 3))
+    pts[: n // 4] = rng.uniform(0.0, 0.3, size=(n // 4, 3))
+    return PointCloud(pts)
+
+
+def _coincident_cloud():
+    # cells of 2-5 copies of one point (their mean may round off the point),
+    # a multi-point cell whose centroid is one of its points (0.25, 0.5, 0.75
+    # on x averages to 0.5 exactly), and solo cells
+    rng = np.random.default_rng(22)
+    base = rng.uniform(0.0, 10.0, size=(40, 3)) * np.array([1.0, 1.0, 0.1])
+    copies = np.repeat(base, rng.integers(2, 6, size=len(base)), axis=0)
+    on_centroid = np.array([[20.25, 20.5, 20.5], [20.5, 20.5, 20.5], [20.75, 20.5, 20.5]])
+    solo = rng.uniform(30.0, 40.0, size=(30, 3))
+    return PointCloud(np.concatenate([copies, on_centroid, solo]))
+
+
+def _on_other_centers(pc, grid):
+    # same length as pc; every 7th point moved exactly onto a center of a
+    # cell other than its own
+    pts = pc.points.copy()
+    p2v = grid.point_to_voxel
+    rows = np.arange(0, len(pc), 7)
+    pts[rows] = grid.voxel_centers.points[(p2v[rows] + 1) % len(grid)]
+    return PointCloud(pts)
+
+
+def _transfer_case(name):
+    if name == "self":
+        pc = _mixed_cloud()
+        return voxelize(pc, 0.1), pc, 3
+    if name == "other-cloud-same-length":
+        pc = _mixed_cloud()
+        return voxelize(pc, 0.1), _mixed_cloud(seed=23), 3
+    if name == "capped":
+        pc = _mixed_cloud()
+        grid = voxelize(pc, 0.1, max_voxels=500, rng=np.random.default_rng(4))
+        assert np.any(grid.point_to_voxel == -1)
+        return grid, pc, 3
+    if name == "coincident-points":
+        pc = _coincident_cloud()
+        return voxelize(pc, 1.0), pc, 3
+    if name == "on-other-cells-center":
+        pc = _mixed_cloud()
+        grid = voxelize(pc, 0.1)
+        return grid, _on_other_centers(pc, grid), 3
+    if name == "k1":
+        pc = _mixed_cloud()
+        return voxelize(pc, 0.1), pc, 1
+    if name == "k-above-voxel-count":
+        pc = _coincident_cloud().select(np.arange(0, 60))
+        grid = voxelize(pc, 1.0)
+        return grid, pc, len(grid) + 5
+    raise KeyError(name)
+
+
+_TRANSFER_CASES = [
+    "self",
+    "other-cloud-same-length",
+    "capped",
+    "coincident-points",
+    "on-other-cells-center",
+    "k1",
+    "k-above-voxel-count",
+]
+
+
+@pytest.mark.parametrize("name", _TRANSFER_CASES)
+def test_transfer_bit_identical_to_reference(name):
+    grid, original, k = _transfer_case(name)
+    flow = FlowField(np.random.default_rng(5).normal(size=(len(grid), 3)))
+    got = transfer_flow_to_points(grid, flow, original, k=k)
+    expected = reference_transfer(grid, flow, original, k=k)
+    assert np.array_equal(got.vectors, expected.vectors)
+
+
+def test_transfer_reference_cases_reach_their_branch():
+    # lookup hits in solo and in multi-point cells, misses that take the
+    # dist == 0 branch, and misses that interpolate
+    def branches(name):
+        grid, original, _ = _transfer_case(name)
+        own = grid.point_to_voxel
+        hit = own >= 0
+        hit[hit] = np.all(grid.voxel_centers.points[own[hit]] == original.points[hit], axis=1)
+        multi = own >= 0
+        multi[multi] = np.bincount(own[multi])[own[multi]] > 1
+        zero = cKDTree(grid.voxel_centers.points).query(original.points)[0] == 0.0
+        return hit, multi, zero
+
+    hit, multi, _ = branches("self")
+    assert np.any(hit) and np.any(~hit)
+    hit, _, _ = branches("other-cloud-same-length")
+    assert not np.any(hit)
+    hit, multi, _ = branches("coincident-points")
+    assert np.any(hit & multi) and np.any(~hit & multi)
+    hit, _, zero = branches("on-other-cells-center")
+    assert np.any(~hit & zero)
+
+
+class _QuerySpy(cKDTree):
+    rows = []
+
+    def query(self, x, *args, **kwargs):
+        _QuerySpy.rows.append(len(np.atleast_2d(x)))
+        return super().query(x, *args, **kwargs)
+
+
+def test_transfer_skips_points_on_their_own_center(monkeypatch, rng):
+    import rigidflow.geom
+
+    monkeypatch.setattr(rigidflow.geom, "cKDTree", _QuerySpy)
+    monkeypatch.setattr(_QuerySpy, "rows", [])
+    pc = PointCloud(rng.uniform(0.0, 2.0, size=(200, 3)))
+    grid = voxelize(pc, 0.05)
+    assert len(grid) == len(pc)  # one point per cell
+    flow = FlowField(rng.normal(size=(len(grid), 3)))
+    out = transfer_flow_to_points(grid, flow, pc, k=3)
+    assert sum(_QuerySpy.rows) == 0
+    assert np.array_equal(out.vectors, flow.vectors[grid.point_to_voxel])
+
+    # a cloud that is not the voxelized one is queried row for row
+    other = PointCloud(pc.points + 0.01)
+    transfer_flow_to_points(grid, flow, other, k=3)
+    assert sum(_QuerySpy.rows) == len(other)
