@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
@@ -63,14 +63,18 @@ def dbscan(
 
     # Clusters: connected components of the core-core eps-graph over the
     # cores in index order. connected_components numbers the components in
-    # order of their lowest node, i.e. of their first core point.
+    # order of their lowest node, i.e. of their first core point, whatever
+    # the edge order. The pairs are unique, so they are grouped by row
+    # straight into CSR, sparing the sum-and-sort a COO input gets.
     core_idx = np.flatnonzero(core)
-    rank = np.cumsum(core) - 1
+    n_core = len(core_idx)
+    rank = (np.cumsum(core) - 1).astype(np.int32)
     edges = pairs[core[pairs[:, 0]] & core[pairs[:, 1]]]
-    graph = coo_matrix(
-        (np.ones(len(edges), dtype=np.int8), (rank[edges[:, 0]], rank[edges[:, 1]])),
-        shape=(len(core_idx), len(core_idx)),
-    )
+    rows = rank[edges[:, 0]]
+    indptr = np.zeros(n_core + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n_core), out=indptr[1:])
+    indices = rank[edges[np.argsort(rows, kind="stable"), 1]]
+    graph = csr_array((np.ones(len(edges)), indices, indptr), shape=(n_core, n_core))
     next_id, component = connected_components(graph, directed=False)
     labels[core_idx] = component
 

@@ -7,12 +7,21 @@ oracle, raw coordinates, or externally computed files), voxelizes them, and
 estimates everything on the voxel clouds. The assembled rigid flow lives on
 the source voxels and is transferred back to the original points by
 inverse-distance interpolation at the very end.
+
+After the foreground split the two branches read nothing of each other's
+results, so each call runs them side by side on two threads: the background
+(ego-motion, and its ICP when refining) on one worker thread, the foreground
+(DBSCAN, soft flow, cluster fits, and their ICP when refining) on the calling
+thread. The random generator is drawn from by the background branch alone and
+the branches share no mutable state, so the outputs are the same bytes as a
+sequential run whatever the scheduling.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +35,7 @@ from .geom import (
     transfer_flow_to_points,
     voxelize,
 )
-from .refine import IcpConfig, refine_scene
+from .refine import IcpConfig, refine_clusters, refine_ego
 from .rigidfit import estimate_ego_motion, fit_cluster_transform
 from .transport import AssignmentMatrix
 
@@ -92,8 +101,10 @@ class PipelineConfig:
     down to `max_points`, and voxelized at `voxel_size` with at most
     `max_points` voxels. Foreground is `fg_prob > fg_threshold`. `slack_d0`
     (None means 2 * tau_ego) sets the feature distance at which the slack
-    outlier bin competes with real matches. The implementation is
-    single-threaded and deterministic for a fixed `seed`.
+    outlier bin competes with real matches. Each `infer_rigid_flow` call
+    uses two threads, one per branch, and its outputs do not depend on their
+    scheduling: they are deterministic for a fixed `seed` on a fixed BLAS
+    build and thread count.
     """
 
     voxel_size: float = 0.1
@@ -285,51 +296,18 @@ def assemble_rigid_flow(decomp: SceneDecomposition) -> FlowField:
     return FlowField(out)
 
 
-def infer_rigid_flow(
-    x: PointCloud,
-    y: PointCloud,
-    cfg: PipelineConfig | None = None,
-    refine: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[SceneDecomposition, FlowField]:
-    """Estimate rigid multi-body flow from source cloud `x` to target `y`.
-
-    Both clouds must carry `features` and `fg_prob`. Steps: voxelize both
-    clouds (attributes averaged per cell); threshold foreground
-    probabilities; estimate the ego-motion on the backgrounds via
-    Sinkhorn-weighted rigid fitting; cluster the source foreground; compute
-    the soft-correspondence flow on the foreground; fit one transform per
-    cluster from that flow; assemble the per-voxel rigid flow; optionally
-    refine every transform with ICP and reassemble; finally interpolate the
-    voxel flow back onto the original source points.
-
-    Returns the voxel-level decomposition and the per-point flow for `x`.
-
-    Raises:
-        ValueError: "no background" when thresholding leaves either side
-            without background voxels; attribute/validation errors otherwise.
-    """
-    if cfg is None:
-        cfg = PipelineConfig()
-    cfg.validate()
-    for name, pc in (("source", x), ("target", y)):
-        if pc.features is None or pc.fg_prob is None:
-            raise ValueError(f"{name} cloud needs features and fg_prob attributes")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-
-    grid_x = voxelize(x, cfg.voxel_size, cfg.max_points, rng)
-    grid_y = voxelize(y, cfg.voxel_size, cfg.max_points, rng)
-    vx = grid_x.voxel_centers
-    vy = grid_y.voxel_centers
-
-    fg_mask_x = vx.fg_prob > cfg.fg_threshold
-    fg_mask_y = vy.fg_prob > cfg.fg_threshold
-    bg_mask_x = ~fg_mask_x
-    bg_mask_y = ~fg_mask_y
-    if not bg_mask_x.any() or not bg_mask_y.any():
-        raise ValueError("no background")
-
+def _background(
+    vx: PointCloud,
+    vy: PointCloud,
+    bg_mask_x: np.ndarray,
+    bg_mask_y: np.ndarray,
+    cfg: PipelineConfig,
+    refine: bool,
+    rng: np.random.Generator,
+) -> tuple[RigidTransform, AssignmentMatrix, bool]:
+    """Ego-motion from the background voxels, ICP-refined when `refine`."""
+    # The selections are temporaries, so estimate_ego_motion can drop them
+    # once it has drawn its samples.
     ego, assignment = estimate_ego_motion(
         vx.select(bg_mask_x),
         vy.select(bg_mask_y),
@@ -339,7 +317,25 @@ def infer_rigid_flow(
         iterations=cfg.sinkhorn_iterations,
         rng=rng,
     )
+    ego_refined = False
+    if refine:
+        # ICP reads coordinates only; selecting features too would copy them.
+        ego, ego_refined = refine_ego(
+            PointCloud(vx.points[bg_mask_x]), PointCloud(vy.points[bg_mask_y]), ego, cfg.icp_bg
+        )
+    return ego, assignment, ego_refined
 
+
+def _foreground(
+    vx: PointCloud,
+    vy: PointCloud,
+    fg_mask_x: np.ndarray,
+    fg_mask_y: np.ndarray,
+    cfg: PipelineConfig,
+    refine: bool,
+) -> tuple[ClusterLabeling, FlowField, list, list, list]:
+    """Clusters, soft flow and per-cluster transforms of the foreground voxels,
+    the transforms ICP-refined when `refine`."""
     fg_x = vx.select(fg_mask_x)
     fg_y = vy.select(fg_mask_y)
     clusters = dbscan(fg_x, cfg.dbscan_eps, cfg.dbscan_min_samples, cfg.dbscan_min_cluster_size)
@@ -368,6 +364,75 @@ def infer_rigid_flow(
             transforms.append(RigidTransform.identity())
             fitted.append(False)
 
+    refined = [False] * len(transforms)
+    if refine:
+        transforms, refined = refine_clusters(fg_x, fg_y, clusters, transforms, fitted, cfg.icp_fg)
+    return clusters, unconstrained, transforms, fitted, refined
+
+
+def infer_rigid_flow(
+    x: PointCloud,
+    y: PointCloud,
+    cfg: PipelineConfig | None = None,
+    refine: bool = False,
+    rng: np.random.Generator | None = None,
+) -> tuple[SceneDecomposition, FlowField]:
+    """Estimate rigid multi-body flow from source cloud `x` to target `y`.
+
+    Both clouds must carry `features` and `fg_prob`. Steps: voxelize both
+    clouds (attributes averaged per cell); threshold foreground
+    probabilities; estimate the ego-motion on the backgrounds via
+    Sinkhorn-weighted rigid fitting; cluster the source foreground; compute
+    the soft-correspondence flow on the foreground; fit one transform per
+    cluster from that flow; optionally refine every transform with ICP;
+    assemble the per-voxel rigid flow; finally interpolate the voxel flow
+    back onto the original source points. The background steps run on a
+    worker thread beside the foreground steps; when both fail, the
+    background's error is raised, as if it had run first.
+
+    Returns the voxel-level decomposition and the per-point flow for `x`.
+
+    Raises:
+        ValueError: "no background" when thresholding leaves either side
+            without background voxels; attribute/validation errors otherwise.
+    """
+    if cfg is None:
+        cfg = PipelineConfig()
+    cfg.validate()
+    for name, pc in (("source", x), ("target", y)):
+        if pc.features is None or pc.fg_prob is None:
+            raise ValueError(f"{name} cloud needs features and fg_prob attributes")
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+
+    grid_x = voxelize(x, cfg.voxel_size, cfg.max_points, rng)
+    grid_y = voxelize(y, cfg.voxel_size, cfg.max_points, rng)
+    vx = grid_x.voxel_centers
+    vy = grid_y.voxel_centers
+
+    fg_mask_x = vx.fg_prob > cfg.fg_threshold
+    fg_mask_y = vy.fg_prob > cfg.fg_threshold
+    bg_mask_x = ~fg_mask_x
+    bg_mask_y = ~fg_mask_y
+    if not bg_mask_x.any() or not bg_mask_y.any():
+        raise ValueError("no background")
+
+    # The branches read the frozen voxel clouds and write nothing shared; each
+    # builds its own selections and KD-trees, and the `np.errstate` of the
+    # ego transport is thread-local (numpy >= 2.0). After the two voxelize
+    # calls, `rng` is drawn from by the background branch alone, so the
+    # foreground must never touch it: then no draw depends on scheduling.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        background = pool.submit(_background, vx, vy, bg_mask_x, bg_mask_y, cfg, refine, rng)
+        try:
+            foreground = _foreground(vx, vy, fg_mask_x, fg_mask_y, cfg, refine)
+        except Exception:
+            # Precedence as if the background ran first: its error wins.
+            background.result()
+            raise
+        ego, assignment, ego_refined = background.result()
+    clusters, unconstrained, transforms, fitted, refined = foreground
+
     decomp = SceneDecomposition(
         fg_prob_x=vx.fg_prob,
         fg_prob_y=vy.fg_prob,
@@ -377,15 +442,14 @@ def infer_rigid_flow(
         ego=ego,
         cluster_transforms=transforms,
         cluster_fitted=fitted,
-        cluster_refined=[False] * len(transforms),
+        ego_refined=ego_refined,
+        cluster_refined=refined,
         voxel_x=vx,
         voxel_y=vy,
         unconstrained_flow=unconstrained,
         assignment=assignment,
     )
     decomp = dataclasses.replace(decomp, voxel_flow=assemble_rigid_flow(decomp))
-    if refine:
-        decomp = refine_scene(decomp, vx, vy, cfg.icp_bg, cfg.icp_fg)
 
     point_flow = transfer_flow_to_points(grid_x, decomp.voxel_flow, x, cfg.interp_k)
     return decomp, point_flow

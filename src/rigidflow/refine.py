@@ -8,13 +8,21 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .cluster import ClusterLabeling
 from .geom import PointCloud, RigidTransform, compose
 from .rigidfit import _kabsch
 
 if TYPE_CHECKING:
     from .pipeline import SceneDecomposition
 
-__all__ = ["IcpConfig", "IcpResult", "icp_refine", "refine_scene"]
+__all__ = [
+    "IcpConfig",
+    "IcpResult",
+    "icp_refine",
+    "refine_ego",
+    "refine_clusters",
+    "refine_scene",
+]
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,55 @@ def icp_refine(
     return IcpResult(best_transform, best_rmse, len(history), False, tuple(history))
 
 
+def refine_ego(
+    bg_x: PointCloud, bg_y: PointCloud, initial: RigidTransform, cfg: IcpConfig
+) -> tuple[RigidTransform, bool]:
+    """ICP of the source background onto the target background from `initial`.
+
+    Returns the refined ego-motion and whether it was refined; `initial` comes
+    back unrefined when there are fewer than 3 source points, no target
+    points, or no gated overlap.
+    """
+    if len(bg_x) >= 3 and len(bg_y) > 0:
+        result = icp_refine(bg_x, bg_y, initial, cfg)
+        if not result.no_overlap:
+            return result.transform, True
+    return initial, False
+
+
+def refine_clusters(
+    fg_x: PointCloud,
+    fg_y: PointCloud,
+    clusters: ClusterLabeling,
+    transforms: list,
+    fitted: list,
+    cfg: IcpConfig,
+) -> tuple[list, list]:
+    """ICP of every fitted cluster of `fg_x` onto the whole target foreground.
+
+    `clusters` labels the points of `fg_x`. Instance-level correspondence is
+    unknown, so each cluster registers against all of `fg_y`, and all runs
+    share its KD-tree. Returns the transforms and one refined flag per
+    cluster; clusters that are unfitted, have fewer than 3 points or no gated
+    overlap keep their input transforms.
+    """
+    transforms = list(transforms)
+    refined = [False] * len(transforms)
+    if len(fg_y) == 0:
+        return transforms, refined
+    for k, is_fitted in enumerate(fitted):
+        if not is_fitted:
+            continue
+        pts = PointCloud(fg_x.points[clusters.labels == k])
+        if len(pts) < 3:
+            continue
+        result = icp_refine(pts, fg_y, transforms[k], cfg)
+        if not result.no_overlap:
+            transforms[k] = result.transform
+            refined[k] = True
+    return transforms, refined
+
+
 def refine_scene(
     decomp: "SceneDecomposition",
     x: PointCloud,
@@ -121,45 +178,33 @@ def refine_scene(
     """Refine the ego-motion and every fitted cluster transform with ICP.
 
     The ego-motion is refined by registering the source background onto the
-    target background (default gate 0.15 m); each cluster is refined against
-    all foreground points of the target (default gate 0.25 m), since
-    instance-level correspondence is unknown; all cluster runs share the
-    target foreground's KD-tree. Entities that cannot be refined (no gated
-    overlap, too few points, degenerate geometry) keep their input
-    transforms. Masks and cluster labels are never modified.
+    target background (`refine_ego`, default gate 0.15 m); each cluster is
+    refined against all foreground points of the target (`refine_clusters`,
+    default gate 0.25 m). Entities that cannot be refined (no gated overlap,
+    too few points, degenerate geometry) keep their input transforms. Masks
+    and cluster labels are never modified; the voxel flow, when present, is
+    reassembled.
     """
     if cfg_bg is None:
         cfg_bg = IcpConfig(max_correspondence_distance=0.15)
     if cfg_fg is None:
         cfg_fg = IcpConfig(max_correspondence_distance=0.25)
 
-    ego = decomp.ego
-    ego_refined = False
     # ICP reads coordinates only; selecting features too would copy them.
-    bg_x = PointCloud(x.points[decomp.bg_mask_x])
-    bg_y = PointCloud(y.points[decomp.bg_mask_y])
-    if len(bg_x) >= 3 and len(bg_y) > 0:
-        result = icp_refine(bg_x, bg_y, decomp.ego, cfg_bg)
-        if not result.no_overlap:
-            ego = result.transform
-            ego_refined = True
-
-    fg_x = x.points[~decomp.bg_mask_x]
-    fg_y = PointCloud(y.points[~decomp.bg_mask_y])
-    transforms = list(decomp.cluster_transforms)
-    refined = [False] * len(transforms)
-    if len(fg_y) > 0:
-        for k, fitted in enumerate(decomp.cluster_fitted):
-            if not fitted:
-                continue
-            pts = PointCloud(fg_x[decomp.clusters.labels == k])
-            if len(pts) < 3:
-                continue
-            result = icp_refine(pts, fg_y, transforms[k], cfg_fg)
-            if not result.no_overlap:
-                transforms[k] = result.transform
-                refined[k] = True
-
+    ego, ego_refined = refine_ego(
+        PointCloud(x.points[decomp.bg_mask_x]),
+        PointCloud(y.points[decomp.bg_mask_y]),
+        decomp.ego,
+        cfg_bg,
+    )
+    transforms, refined = refine_clusters(
+        PointCloud(x.points[~decomp.bg_mask_x]),
+        PointCloud(y.points[~decomp.bg_mask_y]),
+        decomp.clusters,
+        decomp.cluster_transforms,
+        decomp.cluster_fitted,
+        cfg_fg,
+    )
     out = dataclasses.replace(
         decomp,
         ego=ego,

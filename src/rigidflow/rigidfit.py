@@ -123,6 +123,9 @@ def estimate_ego_motion(
 
     sample_x = bg_x.select(rng.choice(len(bg_x), size=min(n_sample, len(bg_x)), replace=False))
     sample_y = bg_y.select(rng.choice(len(bg_y), size=min(n_sample, len(bg_y)), replace=False))
+    # Release the full clouds before the (N+1) x (M+1) assignment is filled;
+    # they are freed here when the caller passed them as temporaries.
+    del bg_x, bg_y
 
     assignment = soft_assignment(
         sample_x.features, sample_y.features, tau, slack_logit=-slack_d0 / tau, iterations=iterations

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -238,3 +241,25 @@ def test_flow_timings_flag_adds_lines(tmp_path):
     )
     assert rc == 0
     assert "timing.infer_ms" in open(report).read()
+
+
+def test_flow_deterministic_under_threaded_blas(tmp_path):
+    # Each inference runs its two branches on two Python threads, which then
+    # call a 2-thread OpenBLAS at once; reruns must still match byte for byte.
+    prefix = synth(tmp_path)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="2")
+    outs = []
+    for run in range(2):
+        paths = [str(tmp_path / f"{name}_{run}") for name in ("flow.rgf", "report.txt", "ego.txt")]
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "rigidflow.cli", "flow",
+                "--src", f"{prefix}_x.rgf", "--tgt", f"{prefix}_y.rgf", "--refine", "--seed", "7",
+                "--out-flow", paths[0], "--report", paths[1], "--out-ego", paths[2],
+            ],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outs.append([open(p, "rb").read() for p in paths])
+    assert outs[0] == outs[1]

@@ -1,20 +1,29 @@
 import dataclasses
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from rigidflow.geom import FlowField, PointCloud
+from rigidflow import pipeline
+from rigidflow.cluster import dbscan
+from rigidflow.flowhead import smooth_flow, soft_flow
+from rigidflow.geom import FlowField, PointCloud, RigidTransform, transfer_flow_to_points, voxelize
 from rigidflow.metrics import ego_metrics, flow_metrics
 from rigidflow.pipeline import (
     PipelineConfig,
+    SceneDecomposition,
+    assemble_rigid_flow,
     infer_rigid_flow,
     preprocess,
     with_height_mask,
     with_xyz_features,
 )
-from rigidflow.refine import IcpConfig
-from rigidflow.rigidfit import fit_cluster_transform
+from rigidflow.refine import IcpConfig, refine_scene
+from rigidflow.rigidfit import estimate_ego_motion, fit_cluster_transform
 from rigidflow.synthetic import SceneSpec, generate_scene
 
 
@@ -380,3 +389,268 @@ def test_config_validation():
         PipelineConfig(voxel_size=0.0).validate()
     with pytest.raises(ValueError):
         PipelineConfig(interp_k=0).validate()
+
+
+# ------------------------------------------- background / foreground overlap
+
+
+def reference_infer(x, y, cfg, refine=False, rng=None):
+    """`infer_rigid_flow` as it ran before the branches overlapped: one thread,
+    the background first, then the foreground, then `refine_scene`."""
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    grid_x = voxelize(x, cfg.voxel_size, cfg.max_points, rng)
+    grid_y = voxelize(y, cfg.voxel_size, cfg.max_points, rng)
+    vx, vy = grid_x.voxel_centers, grid_y.voxel_centers
+    bg_mask_x = ~(vx.fg_prob > cfg.fg_threshold)
+    bg_mask_y = ~(vy.fg_prob > cfg.fg_threshold)
+    if not bg_mask_x.any() or not bg_mask_y.any():
+        raise ValueError("no background")
+    ego, assignment = estimate_ego_motion(
+        vx.select(bg_mask_x),
+        vy.select(bg_mask_y),
+        tau=cfg.tau_ego,
+        n_sample=cfg.ego_sample_size,
+        slack_d0=cfg.resolved_slack_d0,
+        iterations=cfg.sinkhorn_iterations,
+        rng=rng,
+    )
+    fg_x, fg_y = vx.select(~bg_mask_x), vy.select(~bg_mask_y)
+    clusters = dbscan(fg_x, cfg.dbscan_eps, cfg.dbscan_min_samples, cfg.dbscan_min_cluster_size)
+    if len(fg_x) > 0 and len(fg_y) > 0:
+        unconstrained = soft_flow(fg_x, fg_y, cfg.tau_flow)
+        if cfg.flow_smooth_k > 0:
+            unconstrained = smooth_flow(
+                fg_x, unconstrained, k=cfg.flow_smooth_k, radius=cfg.flow_smooth_radius
+            )
+    else:
+        unconstrained = FlowField(np.zeros((len(fg_x), 3)))
+    transforms, fitted = [], []
+    for k in range(clusters.n_clusters):
+        sel = clusters.labels == k
+        try:
+            transforms.append(
+                fit_cluster_transform(
+                    PointCloud(fg_x.points[sel]), FlowField(unconstrained.vectors[sel])
+                )
+            )
+            fitted.append(True)
+        except ValueError:
+            transforms.append(RigidTransform.identity())
+            fitted.append(False)
+    decomp = SceneDecomposition(
+        fg_prob_x=vx.fg_prob,
+        fg_prob_y=vy.fg_prob,
+        bg_mask_x=bg_mask_x,
+        bg_mask_y=bg_mask_y,
+        clusters=clusters,
+        ego=ego,
+        cluster_transforms=transforms,
+        cluster_fitted=fitted,
+        cluster_refined=[False] * len(transforms),
+        voxel_x=vx,
+        voxel_y=vy,
+        unconstrained_flow=unconstrained,
+        assignment=assignment,
+    )
+    decomp = dataclasses.replace(decomp, voxel_flow=assemble_rigid_flow(decomp))
+    if refine:
+        decomp = refine_scene(decomp, vx, vy, cfg.icp_bg, cfg.icp_fg)
+    return decomp, transfer_flow_to_points(grid_x, decomp.voxel_flow, x, cfg.interp_k)
+
+
+def _transform_bytes(t):
+    return t.rotation.tobytes() + t.translation.tobytes()
+
+
+def _result_bytes(decomp, flow):
+    """Every array and flag of an inference result, as one byte string."""
+    parts = [
+        flow.vectors,
+        decomp.voxel_flow.vectors,
+        decomp.unconstrained_flow.vectors,
+        decomp.assignment.values,
+        decomp.bg_mask_x,
+        decomp.bg_mask_y,
+        decomp.clusters.labels,
+        decomp.clusters.cluster_sizes,
+        decomp.voxel_x.points,
+        decomp.voxel_y.points,
+    ]
+    out = b"".join(np.ascontiguousarray(a).tobytes() for a in parts)
+    out += _transform_bytes(decomp.ego)
+    out += b"".join(_transform_bytes(t) for t in decomp.cluster_transforms)
+    flags = [decomp.ego_refined, *decomp.cluster_fitted, *decomp.cluster_refined]
+    return out + bytes(flags)
+
+
+def _assert_same_result(got, want):
+    (decomp, flow), (ref_decomp, ref_flow) = got, want
+    assert np.array_equal(flow.vectors, ref_flow.vectors)
+    assert np.array_equal(decomp.voxel_flow.vectors, ref_decomp.voxel_flow.vectors)
+    assert np.array_equal(decomp.assignment.values, ref_decomp.assignment.values)
+    assert np.array_equal(decomp.ego.rotation, ref_decomp.ego.rotation)
+    assert np.array_equal(decomp.ego.translation, ref_decomp.ego.translation)
+    assert decomp.ego_refined == ref_decomp.ego_refined
+    assert decomp.cluster_fitted == ref_decomp.cluster_fitted
+    assert decomp.cluster_refined == ref_decomp.cluster_refined
+    assert _result_bytes(decomp, flow) == _result_bytes(ref_decomp, ref_flow)
+
+
+def _with_collinear_object(scene):
+    """Append a 21-point straight-line foreground object, far from the rest, to
+    both frames: it clusters, but its rigid fit is degenerate."""
+    line = np.zeros((21, 3))
+    line[:, 0] = np.arange(21) * 0.2
+    line[:, 1] = 8.0
+    line[:, 2] = 10.0
+    feats = np.random.default_rng(3).normal(size=(21, scene.frame_x.features.shape[1]))
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+
+    def extend(frame, shift):
+        return PointCloud(
+            np.vstack([frame.points, line + shift]),
+            features=np.vstack([frame.features, feats]),
+            fg_prob=np.concatenate([frame.fg_prob, np.ones(21)]),
+        )
+
+    return extend(scene.frame_x, 0.0), extend(scene.frame_y, np.array([0.3, 0.0, 0.1]))
+
+
+def _inputs(case):
+    """Preprocessed clouds, config and the rng state after preprocessing."""
+    if case == "crowd":
+        spec = SceneSpec(
+            n_objects=8, points_per_object=1500, background_points=30000,
+            background_extent=30.0, seed=0,
+        )
+    else:
+        spec = SceneSpec(seed=31)
+    scene = generate_scene(spec)
+    cfg = PipelineConfig(seed=spec.seed)
+    rng = np.random.default_rng(cfg.seed)
+    frame_x, frame_y = scene.frame_x, scene.frame_y
+    if case == "unfitted":
+        frame_x, frame_y = _with_collinear_object(scene)
+    x = preprocess(frame_x, cfg, rng)
+    y = preprocess(frame_y, cfg, rng)
+    if case == "capped":
+        # voxelize keeps a random 500 of the occupied cells, drawing from rng
+        # before the branches split
+        cfg = dataclasses.replace(cfg, max_points=500)
+    elif case == "no-foreground":
+        x = dataclasses.replace(x, fg_prob=np.zeros(len(x)))
+        y = dataclasses.replace(y, fg_prob=np.zeros(len(y)))
+    elif case == "smoothed":
+        cfg = dataclasses.replace(cfg, flow_smooth_k=4, flow_smooth_radius=0.5)
+    return x, y, cfg, rng
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("case", ["default", "crowd", "capped", "no-foreground", "unfitted", "smoothed"])
+def test_infer_matches_sequential_reference(case, refine):
+    x, y, cfg, rng = _inputs(case)
+    state = rng.bit_generator.state
+    got = infer_rigid_flow(x, y, cfg, refine=refine, rng=rng)
+    rng.bit_generator.state = state
+    want = reference_infer(x, y, cfg, refine=refine, rng=rng)
+    _assert_same_result(got, want)
+    decomp = got[0]
+    if case == "capped":
+        assert len(decomp.voxel_x) == 500
+    if case == "no-foreground":
+        assert decomp.bg_mask_x.all() and decomp.clusters.n_clusters == 0
+    if case == "unfitted":
+        assert False in decomp.cluster_fitted and True in decomp.cluster_fitted
+    if case == "crowd":
+        assert decomp.clusters.n_clusters == 8
+
+
+def _raiser(message, delay=0.0):
+    def raise_after_delay(*args, **kwargs):
+        time.sleep(delay)
+        raise ValueError(message)
+
+    return raise_after_delay
+
+
+@pytest.mark.parametrize("bg_delay, fg_delay", [(0.0, 0.0), (0.2, 0.0), (0.0, 0.2)])
+def test_background_error_takes_precedence(monkeypatch, bg_delay, fg_delay):
+    x, y, cfg, _ = _inputs("default")
+    baseline = threading.active_count()
+    monkeypatch.setattr(pipeline, "estimate_ego_motion", _raiser("background failed", bg_delay))
+    monkeypatch.setattr(pipeline, "soft_flow", _raiser("foreground failed", fg_delay))
+    with pytest.raises(ValueError, match="background failed"):
+        infer_rigid_flow(x, y, cfg, refine=True)
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("fg_delay", [0.0, 0.2])
+def test_foreground_error_surfaces(monkeypatch, fg_delay):
+    x, y, cfg, _ = _inputs("default")
+    baseline = threading.active_count()
+    monkeypatch.setattr(pipeline, "soft_flow", _raiser("foreground failed", fg_delay))
+    with pytest.raises(ValueError, match="foreground failed"):
+        infer_rigid_flow(x, y, cfg, refine=True)
+    assert threading.active_count() == baseline
+
+
+def test_worker_thread_joined_after_success():
+    x, y, cfg, _ = _inputs("default")
+    baseline = threading.active_count()
+    infer_rigid_flow(x, y, cfg, refine=True)
+    assert threading.active_count() == baseline
+
+
+def test_concurrent_callers_match_sequential_calls():
+    inputs = [_inputs("default"), _inputs("unfitted")]
+    states = [rng.bit_generator.state for *_, rng in inputs]
+
+    def call(i):
+        x, y, cfg, rng = inputs[i]
+        rng.bit_generator.state = states[i]
+        return _result_bytes(*infer_rigid_flow(x, y, cfg, refine=True, rng=rng))
+
+    want = [call(i) for i in range(len(inputs))]
+    # Two callers with a worker each: more threads than a 2-core host has
+    # cores, switching often, so any shared state would show as other bytes.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            got = [None] * len(inputs)
+
+            def run(i):
+                got[i] = call(i)
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert got == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_ego_motion_releases_full_background_before_assignment():
+    # The pipeline passes the background selections as temporaries; the full
+    # clouds (2 x 2.7 MiB here) must be freed before the 8 MiB (1025 x 1025)
+    # assignment is filled, so the peak stays near the assignment's size.
+    rng = np.random.default_rng(1)
+    n = 10_000
+    f = rng.normal(size=(n, 32))
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    cloud = PointCloud(rng.uniform(-20.0, 20.0, size=(n, 3)), features=f, fg_prob=np.zeros(n))
+    mask = np.ones(n, dtype=bool)
+    tracemalloc.start()
+    try:
+        estimate_ego_motion(
+            cloud.select(mask), cloud.select(mask), tau=0.005, n_sample=1024,
+            rng=np.random.default_rng(0),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
