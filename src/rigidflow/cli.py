@@ -22,6 +22,7 @@ from .io import (
     ClusterSummary,
     ParseError,
     RunReport,
+    _transform_to_text,
     read_config,
     read_point_cloud_any,
     read_transform,
@@ -102,9 +103,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         src = _attach_masks(src, args.masks, args.src_masks, args.mask_height, "src")
         tgt = _attach_masks(tgt, args.masks, args.tgt_masks, args.mask_height, "tgt")
         timings["read_ms"] = 1e3 * (time.perf_counter() - t0)
-    except ParseError as exc:
-        return _fail(str(exc), 2)
-    except (_InputError, OSError) as exc:
+    except (ParseError, _InputError, OSError) as exc:
         return _fail(str(exc), 2)
 
     try:
@@ -131,12 +130,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     report.extra["tgt_points"] = str(len(y))
     report.extra["src_voxels"] = str(len(decomp.voxel_x))
     report.extra["tgt_voxels"] = str(len(decomp.voxel_y))
-    report.extra["ego_transform"] = " ".join(
-        repr(float(v))
-        for v in np.concatenate(
-            [decomp.ego.rotation, decomp.ego.translation[:, None]], axis=1
-        ).reshape(-1)
-    )
+    report.extra["ego_transform"] = _transform_to_text(decomp.ego)
 
     if x.flow is not None:
         report.flow_metrics = flow_metrics(flow, FlowField(x.flow))
@@ -160,16 +154,10 @@ def cmd_flow(args: argparse.Namespace) -> int:
                     fg_points=decomp.voxel_x.select(fg_index),
                     fg_flow=decomp.unconstrained_flow,
                     fg_y=decomp.voxel_y.select(~decomp.bg_mask_y),
-                    lambda_inlier=cfg.lambda_inlier,
-                    lambda_cd=cfg.lambda_cd,
-                    normalized_chamfer=cfg.normalized_chamfer,
                 )
-    except ParseError as exc:
-        return _fail(str(exc), 2)
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         return _fail(str(exc), 2)
 
-    fg_index = np.flatnonzero(~decomp.bg_mask_x)
     for k in range(decomp.clusters.n_clusters):
         report.clusters.append(
             ClusterSummary(
@@ -258,8 +246,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             report.ego_metrics = ego_metrics(
                 read_transform(args.pred_ego), read_transform(args.gt_ego)
             )
-    except ParseError as exc:
-        return _fail(str(exc), 2)
     except (_InputError, OSError, ValueError) as exc:
         return _fail(str(exc), 2)
 

@@ -3,19 +3,17 @@
 Each source point is matched to a softmax-weighted combination of target
 points in feature space; its flow is the displacement to that combination.
 The softmax is streamed in row blocks, so the N x M weight matrix is never
-held. No learned refinement runs on top of this: the optional `smooth_flow`
-pass is a plain k-NN mean and is off by default.
+held. No learned refinement runs on top of this.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geom import FlowField, PointCloud
 from .transport import _BLOCK_ROWS, _exp_logits, _logit_operands
 
-__all__ = ["FlowField", "soft_flow", "smooth_flow"]
+__all__ = ["FlowField", "soft_flow"]
 
 
 def soft_flow(x: PointCloud, y: PointCloud, tau_flow: float) -> FlowField:
@@ -49,28 +47,3 @@ def soft_flow(x: PointCloud, y: PointCloud, tau_flow: float) -> FlowField:
         raise ValueError("degenerate affinity")
     return FlowField(acc[:, :3] / mass - x.points)
 
-
-def smooth_flow(
-    points: PointCloud,
-    flow: FlowField,
-    k: int = 8,
-    radius: float | None = None,
-) -> FlowField:
-    """Average each point's flow with its k nearest neighbors' flows.
-
-    A simple non-learned smoother. When `radius` is given, neighbors beyond
-    it are excluded (the point itself always participates).
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if len(flow) != len(points):
-        raise ValueError("flow length does not match point count")
-    k_eff = min(k, len(points))
-    dist, idx = cKDTree(points.points).query(points.points, k=k_eff)
-    dist = dist.reshape(len(points), k_eff)
-    idx = idx.reshape(len(points), k_eff)
-    keep = np.ones_like(dist, dtype=bool) if radius is None else dist <= radius
-    keep[:, 0] = True
-    counts = keep.sum(axis=1)
-    summed = np.where(keep[:, :, None], flow.vectors[idx], 0.0).sum(axis=1)
-    return FlowField(summed / counts[:, None])

@@ -13,7 +13,7 @@ identical runs produce identical bytes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 
@@ -302,29 +302,14 @@ def serialize_report(report: RunReport, include_timings: bool = False) -> str:
         lines.append(f"run.{key} = {report.extra[key]}")
     for key in sorted(report.config):
         lines.append(f"config.{key} = {report.config[key]}")
-    fm = report.flow_metrics
-    if fm is not None:
-        for name in ("epe3d_mean", "epe3d_median", "acc3ds", "acc3dr", "outliers"):
-            lines.append(f"flow.{name} = {repr(getattr(fm, name))}")
-    em = report.ego_metrics
-    if em is not None:
-        lines.append(f"ego.rre = {repr(em.rre)}")
-        lines.append(f"ego.rte = {repr(em.rte)}")
-    en = report.energy
-    if en is not None:
-        for name in (
-            "l_bg",
-            "l_trans",
-            "l_inlier",
-            "l_ego",
-            "l_rigid",
-            "l_cd",
-            "l_fg",
-            "total",
-            "lambda_inlier",
-            "lambda_cd",
-        ):
-            lines.append(f"energy.{name} = {repr(getattr(en, name))}")
+    for section, values in (
+        ("flow", report.flow_metrics),
+        ("ego", report.ego_metrics),
+        ("energy", report.energy),
+    ):
+        if values is not None:
+            for f in fields(values):
+                lines.append(f"{section}.{f.name} = {repr(getattr(values, f.name))}")
     lines.append(f"cluster.count = {len(report.clusters)}")
     for k, summary in enumerate(report.clusters):
         lines.append(f"cluster.{k}.size = {summary.size}")

@@ -20,6 +20,7 @@ sequential run whatever the scheduling.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterLabeling, dbscan
-from .flowhead import smooth_flow, soft_flow
+from .flowhead import soft_flow
 from .geom import (
     FlowField,
     PointCloud,
@@ -122,11 +123,6 @@ class PipelineConfig:
     sinkhorn_iterations: int = 3
     ego_sample_size: int = 1024
     interp_k: int = 3
-    flow_smooth_k: int = 0
-    flow_smooth_radius: float | None = None
-    normalized_chamfer: bool = False
-    lambda_inlier: float = 0.005
-    lambda_cd: float = 0.5
     icp_bg: IcpConfig = IcpConfig(max_correspondence_distance=0.15, max_iterations=300)
     icp_fg: IcpConfig = IcpConfig(max_correspondence_distance=0.25, max_iterations=300)
     seed: int = 0
@@ -156,10 +152,6 @@ class PipelineConfig:
             raise ValueError("interp_k must be at least 1")
         if self.slack_d0 is not None and self.slack_d0 <= 0:
             raise ValueError("slack_d0 must be positive when set")
-        if self.flow_smooth_k < 0:
-            raise ValueError("flow_smooth_k must be nonnegative")
-        if self.lambda_inlier < 0 or self.lambda_cd < 0:
-            raise ValueError("loss weights must be nonnegative")
 
     @property
     def resolved_slack_d0(self) -> float:
@@ -167,15 +159,10 @@ class PipelineConfig:
 
     def to_flat_dict(self) -> dict:
         """Flatten to string key/value pairs (nested ICP configs get dotted keys)."""
-        out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, IcpConfig):
-                for g in dataclasses.fields(value):
-                    out[f"{f.name}.{g.name}"] = _format_value(getattr(value, g.name))
-            else:
-                out[f.name] = _format_value(value)
-        return out
+        return {
+            key: _format_value(operator.attrgetter(key)(self))
+            for key in _flat_field_types(type(self))
+        }
 
     @classmethod
     def from_flat_dict(cls, flat: dict) -> "PipelineConfig":
@@ -202,7 +189,8 @@ class PipelineConfig:
 class SceneDecomposition:
     """Everything the pipeline inferred about one frame pair, at voxel level.
 
-    Masks and probabilities index the voxel clouds `voxel_x` / `voxel_y`.
+    Masks index the voxel clouds `voxel_x` / `voxel_y`, whose `fg_prob` holds
+    the per-voxel foreground probabilities they were thresholded from.
     `clusters` labels the foreground voxels of the source in extraction
     order; `cluster_transforms[k]` explains cluster k (identity placeholder
     when `cluster_fitted[k]` is False, in which case the cluster falls back
@@ -210,8 +198,6 @@ class SceneDecomposition:
     assembled per-voxel rigid flow.
     """
 
-    fg_prob_x: np.ndarray
-    fg_prob_y: np.ndarray
     bg_mask_x: np.ndarray
     bg_mask_y: np.ndarray
     clusters: ClusterLabeling
@@ -342,10 +328,6 @@ def _foreground(
 
     if len(fg_x) > 0 and len(fg_y) > 0:
         unconstrained = soft_flow(fg_x, fg_y, cfg.tau_flow)
-        if cfg.flow_smooth_k > 0:
-            unconstrained = smooth_flow(
-                fg_x, unconstrained, k=cfg.flow_smooth_k, radius=cfg.flow_smooth_radius
-            )
     else:
         unconstrained = FlowField(np.zeros((len(fg_x), 3)))
 
@@ -434,8 +416,6 @@ def infer_rigid_flow(
     clusters, unconstrained, transforms, fitted, refined = foreground
 
     decomp = SceneDecomposition(
-        fg_prob_x=vx.fg_prob,
-        fg_prob_y=vy.fg_prob,
         bg_mask_x=bg_mask_x,
         bg_mask_y=bg_mask_y,
         clusters=clusters,

@@ -1,10 +1,14 @@
-"""Test-time ICP refinement of the ego-motion and per-object transforms."""
+"""Test-time ICP refinement of the ego-motion and per-object transforms.
+
+`refine_ego` registers the source background onto the target background;
+`refine_clusters` registers each fitted cluster onto the whole target
+foreground. The pipeline calls each from its own branch and reassembles the
+flow itself, so this module knows nothing of the scene decomposition.
+"""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -12,16 +16,12 @@ from .cluster import ClusterLabeling
 from .geom import PointCloud, RigidTransform, compose
 from .rigidfit import _kabsch
 
-if TYPE_CHECKING:
-    from .pipeline import SceneDecomposition
-
 __all__ = [
     "IcpConfig",
     "IcpResult",
     "icp_refine",
     "refine_ego",
     "refine_clusters",
-    "refine_scene",
 ]
 
 
@@ -167,53 +167,3 @@ def refine_clusters(
             refined[k] = True
     return transforms, refined
 
-
-def refine_scene(
-    decomp: "SceneDecomposition",
-    x: PointCloud,
-    y: PointCloud,
-    cfg_bg: IcpConfig | None = None,
-    cfg_fg: IcpConfig | None = None,
-) -> "SceneDecomposition":
-    """Refine the ego-motion and every fitted cluster transform with ICP.
-
-    The ego-motion is refined by registering the source background onto the
-    target background (`refine_ego`, default gate 0.15 m); each cluster is
-    refined against all foreground points of the target (`refine_clusters`,
-    default gate 0.25 m). Entities that cannot be refined (no gated overlap,
-    too few points, degenerate geometry) keep their input transforms. Masks
-    and cluster labels are never modified; the voxel flow, when present, is
-    reassembled.
-    """
-    if cfg_bg is None:
-        cfg_bg = IcpConfig(max_correspondence_distance=0.15)
-    if cfg_fg is None:
-        cfg_fg = IcpConfig(max_correspondence_distance=0.25)
-
-    # ICP reads coordinates only; selecting features too would copy them.
-    ego, ego_refined = refine_ego(
-        PointCloud(x.points[decomp.bg_mask_x]),
-        PointCloud(y.points[decomp.bg_mask_y]),
-        decomp.ego,
-        cfg_bg,
-    )
-    transforms, refined = refine_clusters(
-        PointCloud(x.points[~decomp.bg_mask_x]),
-        PointCloud(y.points[~decomp.bg_mask_y]),
-        decomp.clusters,
-        decomp.cluster_transforms,
-        decomp.cluster_fitted,
-        cfg_fg,
-    )
-    out = dataclasses.replace(
-        decomp,
-        ego=ego,
-        ego_refined=ego_refined,
-        cluster_transforms=transforms,
-        cluster_refined=refined,
-    )
-    if decomp.voxel_flow is not None:
-        from .pipeline import assemble_rigid_flow  # deferred: pipeline imports this module
-
-        out = dataclasses.replace(out, voxel_flow=assemble_rigid_flow(out))
-    return out

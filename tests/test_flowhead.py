@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rigidflow.flowhead import smooth_flow, soft_flow
-from rigidflow.geom import FlowField, PointCloud
+from rigidflow.flowhead import soft_flow
+from rigidflow.geom import PointCloud
 from rigidflow.transport import _BLOCK_ROWS, soft_assignment, soft_correspondences
 
 
@@ -122,23 +122,3 @@ def test_soft_flow_never_holds_the_full_matrix():
         tracemalloc.stop()
     assert peak < 8 * 2**20
 
-
-def test_smooth_flow_constant_field_unchanged(rng):
-    pts = PointCloud(rng.normal(size=(20, 3)))
-    flow = FlowField(np.tile([0.5, 0.0, 0.0], (20, 1)))
-    out = smooth_flow(pts, flow, k=5)
-    np.testing.assert_allclose(out.vectors, flow.vectors, atol=1e-15)
-
-
-def test_smooth_flow_averages_neighbors():
-    pts = PointCloud([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0]])
-    flow = FlowField([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    out = smooth_flow(pts, flow, k=3)
-    np.testing.assert_allclose(out.vectors[:, 0], [1.0, 1.0, 1.0], atol=1e-12)
-
-
-def test_smooth_flow_radius_limits_mixing():
-    pts = PointCloud([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
-    flow = FlowField([[1.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
-    out = smooth_flow(pts, flow, k=2, radius=1.0)
-    np.testing.assert_allclose(out.vectors, flow.vectors, atol=1e-15)

@@ -147,10 +147,22 @@ def test_config_file_partial_overrides(tmp_path):
     assert cfg.voxel_size == PipelineConfig().voxel_size
 
 
-def test_config_unknown_key(tmp_path):
+@pytest.mark.parametrize(
+    "key",
+    [
+        "definitely_not_a_key",
+        # removed options: a config that still sets one must fail loudly
+        "flow_smooth_k",
+        "flow_smooth_radius",
+        "normalized_chamfer",
+        "lambda_inlier",
+        "lambda_cd",
+    ],
+)
+def test_config_unknown_key(tmp_path, key):
     path = tmp_path / "unknown.cfg"
-    path.write_text("definitely_not_a_key = 3\n")
-    with pytest.raises(ParseError):
+    path.write_text(f"{key} = 3\n")
+    with pytest.raises(ParseError, match="unknown config key"):
         read_config(path)
 
 
@@ -192,6 +204,47 @@ def test_report_omits_timings_by_default(rng):
     text = serialize_report(report)
     assert "timing." not in text
     assert "flow.epe3d_mean" in text
+
+
+def test_report_key_order_is_pinned(rng):
+    # the report is a byte-compared artifact, so its key order is part of it
+    report = _sample_report(rng)
+    report.config = {"voxel_size": "0.1", "seed": "0"}
+    text = serialize_report(report, include_timings=True)
+    keys = [line.partition(" = ")[0] for line in text.splitlines()]
+    assert keys == [
+        "run.command",
+        "run.src",
+        "config.seed",
+        "config.voxel_size",
+        "flow.epe3d_mean",
+        "flow.epe3d_median",
+        "flow.acc3ds",
+        "flow.acc3dr",
+        "flow.outliers",
+        "ego.rre",
+        "ego.rte",
+        "energy.l_bg",
+        "energy.l_trans",
+        "energy.l_inlier",
+        "energy.l_ego",
+        "energy.l_rigid",
+        "energy.l_cd",
+        "energy.l_fg",
+        "energy.total",
+        "energy.lambda_inlier",
+        "energy.lambda_cd",
+        "cluster.count",
+        "cluster.0.size",
+        "cluster.0.fitted",
+        "cluster.0.refined",
+        "cluster.0.transform",
+        "cluster.1.size",
+        "cluster.1.fitted",
+        "cluster.1.refined",
+        "cluster.1.transform",
+        "timing.infer",
+    ]
 
 
 def test_report_rejects_unknown_section():

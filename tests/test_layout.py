@@ -1,0 +1,33 @@
+"""The package's module import graph has no cycles."""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rigidflow"
+
+
+def _relative_imports(path: Path) -> set:
+    """Sibling modules a file imports anywhere: top level, inside functions and
+    under `if TYPE_CHECKING`."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[0])
+    return found
+
+
+def test_module_imports_are_acyclic():
+    graph = {
+        path.stem: _relative_imports(path) - {"__init__"}
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "__init__"
+    }
+    assert {"pipeline", "refine", "io", "cli"} <= graph.keys()
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None

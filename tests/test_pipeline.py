@@ -10,7 +10,7 @@ from scipy import stats
 
 from rigidflow import pipeline
 from rigidflow.cluster import dbscan
-from rigidflow.flowhead import smooth_flow, soft_flow
+from rigidflow.flowhead import soft_flow
 from rigidflow.geom import FlowField, PointCloud, RigidTransform, transfer_flow_to_points, voxelize
 from rigidflow.metrics import ego_metrics, flow_metrics
 from rigidflow.pipeline import (
@@ -22,7 +22,7 @@ from rigidflow.pipeline import (
     with_height_mask,
     with_xyz_features,
 )
-from rigidflow.refine import IcpConfig, refine_scene
+from rigidflow.refine import IcpConfig, refine_clusters, refine_ego
 from rigidflow.rigidfit import estimate_ego_motion, fit_cluster_transform
 from rigidflow.synthetic import SceneSpec, generate_scene
 
@@ -365,18 +365,13 @@ def test_config_flat_round_trip():
         sinkhorn_iterations=5,
         ego_sample_size=512,
         interp_k=4,
-        flow_smooth_k=4,
-        flow_smooth_radius=0.5,
-        normalized_chamfer=True,
-        lambda_inlier=0.01,
-        lambda_cd=0.25,
         icp_bg=IcpConfig(max_correspondence_distance=0.1, max_iterations=100, convergence_epsilon=1e-7),
         icp_fg=IcpConfig(max_correspondence_distance=0.2, max_iterations=50, convergence_epsilon=1e-5),
         seed=5,
     )
     defaults = PipelineConfig().to_flat_dict()
     assert all(value != defaults[key] for key, value in off_default.to_flat_dict().items())
-    for cfg in (PipelineConfig(seed=5, slack_d0=0.3, flow_smooth_k=4), off_default):
+    for cfg in (PipelineConfig(seed=5, slack_d0=0.3, interp_k=4), off_default):
         assert PipelineConfig.from_flat_dict(cfg.to_flat_dict()) == cfg
     with pytest.raises(ValueError, match="unknown config key"):
         PipelineConfig.from_flat_dict({"nope": "1"})
@@ -396,7 +391,8 @@ def test_config_validation():
 
 def reference_infer(x, y, cfg, refine=False, rng=None):
     """`infer_rigid_flow` as it ran before the branches overlapped: one thread,
-    the background first, then the foreground, then `refine_scene`."""
+    the background first, then the foreground, then the ICP refinement of the
+    ego-motion and of every fitted cluster, then one assembly."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     grid_x = voxelize(x, cfg.voxel_size, cfg.max_points, rng)
@@ -419,10 +415,6 @@ def reference_infer(x, y, cfg, refine=False, rng=None):
     clusters = dbscan(fg_x, cfg.dbscan_eps, cfg.dbscan_min_samples, cfg.dbscan_min_cluster_size)
     if len(fg_x) > 0 and len(fg_y) > 0:
         unconstrained = soft_flow(fg_x, fg_y, cfg.tau_flow)
-        if cfg.flow_smooth_k > 0:
-            unconstrained = smooth_flow(
-                fg_x, unconstrained, k=cfg.flow_smooth_k, radius=cfg.flow_smooth_radius
-            )
     else:
         unconstrained = FlowField(np.zeros((len(fg_x), 3)))
     transforms, fitted = [], []
@@ -438,24 +430,27 @@ def reference_infer(x, y, cfg, refine=False, rng=None):
         except ValueError:
             transforms.append(RigidTransform.identity())
             fitted.append(False)
+    ego_refined, refined = False, [False] * len(transforms)
+    if refine:
+        ego, ego_refined = refine_ego(
+            PointCloud(vx.points[bg_mask_x]), PointCloud(vy.points[bg_mask_y]), ego, cfg.icp_bg
+        )
+        transforms, refined = refine_clusters(fg_x, fg_y, clusters, transforms, fitted, cfg.icp_fg)
     decomp = SceneDecomposition(
-        fg_prob_x=vx.fg_prob,
-        fg_prob_y=vy.fg_prob,
         bg_mask_x=bg_mask_x,
         bg_mask_y=bg_mask_y,
         clusters=clusters,
         ego=ego,
         cluster_transforms=transforms,
         cluster_fitted=fitted,
-        cluster_refined=[False] * len(transforms),
+        ego_refined=ego_refined,
+        cluster_refined=refined,
         voxel_x=vx,
         voxel_y=vy,
         unconstrained_flow=unconstrained,
         assignment=assignment,
     )
     decomp = dataclasses.replace(decomp, voxel_flow=assemble_rigid_flow(decomp))
-    if refine:
-        decomp = refine_scene(decomp, vx, vy, cfg.icp_bg, cfg.icp_fg)
     return decomp, transfer_flow_to_points(grid_x, decomp.voxel_flow, x, cfg.interp_k)
 
 
@@ -541,13 +536,11 @@ def _inputs(case):
     elif case == "no-foreground":
         x = dataclasses.replace(x, fg_prob=np.zeros(len(x)))
         y = dataclasses.replace(y, fg_prob=np.zeros(len(y)))
-    elif case == "smoothed":
-        cfg = dataclasses.replace(cfg, flow_smooth_k=4, flow_smooth_radius=0.5)
     return x, y, cfg, rng
 
 
 @pytest.mark.parametrize("refine", [False, True])
-@pytest.mark.parametrize("case", ["default", "crowd", "capped", "no-foreground", "unfitted", "smoothed"])
+@pytest.mark.parametrize("case", ["default", "crowd", "capped", "no-foreground", "unfitted"])
 def test_infer_matches_sequential_reference(case, refine):
     x, y, cfg, rng = _inputs(case)
     state = rng.bit_generator.state

@@ -15,8 +15,7 @@ from rigidflow.geom import (
     invert,
     rotation_about_axis,
 )
-from rigidflow.pipeline import SceneDecomposition
-from rigidflow.refine import IcpConfig, IcpResult, icp_refine, refine_scene
+from rigidflow.refine import IcpConfig, IcpResult, icp_refine, refine_clusters, refine_ego
 from rigidflow.rigidfit import WeightedCorrespondenceSet, weighted_kabsch
 
 from conftest import make_transform
@@ -245,10 +244,28 @@ def test_icp_reference_cases_reach_their_branch():
 
 
 # ----------------------------------------------------------------- scenes
+# Scene-level refinement: the ego run and the cluster runs that the pipeline
+# makes from its two branches.
 
 
-def _scene_decomp(rng, ego, cluster_transforms, bg_n=600, cluster_pts=None):
-    """Hand-built voxel-level decomposition over explicit clouds."""
+# Gates of the default pipeline configuration.
+ICP_BG = IcpConfig(max_correspondence_distance=0.15)
+ICP_FG = IcpConfig(max_correspondence_distance=0.25)
+
+
+@dataclasses.dataclass
+class _Scene:
+    """Background and foreground clouds of both frames, with source labels."""
+
+    bg_x: PointCloud
+    bg_y: PointCloud
+    fg_x: PointCloud
+    fg_y: PointCloud
+    clusters: ClusterLabeling
+
+
+def _scene(rng, ego, cluster_transforms, bg_n=600, cluster_pts=None):
+    """Hand-built voxel-level scene over explicit clouds."""
     bg = _dense_surface(rng, n=bg_n).points * 3.0
     if cluster_pts is not None:
         clusters_pts = cluster_pts
@@ -258,43 +275,36 @@ def _scene_decomp(rng, ego, cluster_transforms, bg_n=600, cluster_pts=None):
             rng.normal(size=(40, 3)) + np.array(offsets[k])
             for k in range(len(cluster_transforms))
         ]
-    fg = np.vstack(clusters_pts)
     labels = np.concatenate(
         [np.full(len(p), k) for k, p in enumerate(clusters_pts)]
     )
-    x = PointCloud(np.vstack([bg, fg]))
-    bg_mask = np.zeros(len(x), dtype=bool)
-    bg_mask[: len(bg)] = True
-
-    y_bg = ego.apply(bg)
-    y_fg = [t.apply(p) for t, p in zip(cluster_transforms, clusters_pts)]
-    y = PointCloud(np.vstack([y_bg] + y_fg))
-
-    decomp = SceneDecomposition(
-        fg_prob_x=(~bg_mask).astype(float),
-        fg_prob_y=(~bg_mask).astype(float),
-        bg_mask_x=bg_mask,
-        bg_mask_y=bg_mask,
+    return _Scene(
+        bg_x=PointCloud(bg),
+        bg_y=PointCloud(ego.apply(bg)),
+        fg_x=PointCloud(np.vstack(clusters_pts)),
+        fg_y=PointCloud(np.vstack([t.apply(p) for t, p in zip(cluster_transforms, clusters_pts)])),
         clusters=ClusterLabeling(
             labels=labels, cluster_sizes=np.array([len(p) for p in clusters_pts])
         ),
-        ego=ego,
-        cluster_transforms=list(cluster_transforms),
-        cluster_fitted=[True] * len(cluster_transforms),
-        cluster_refined=[False] * len(cluster_transforms),
     )
-    return decomp, x, y
+
+
+def _refine_clusters(scene, transforms):
+    return refine_clusters(
+        scene.fg_x, scene.fg_y, scene.clusters, transforms, [True] * len(transforms), ICP_FG
+    )
 
 
 def test_refine_scene_fixed_point_on_perfect_inputs(rng):
     ego = make_transform(rng, max_angle_deg=3.0, max_translation=0.5)
     t0 = make_transform(rng, max_angle_deg=5.0, max_translation=0.5)
     t1 = make_transform(rng, max_angle_deg=5.0, max_translation=0.5)
-    decomp, x, y = _scene_decomp(rng, ego, [t0, t1])
-    out = refine_scene(decomp, x, y)
-    np.testing.assert_allclose(out.ego.rotation, ego.rotation, atol=1e-8)
-    np.testing.assert_allclose(out.ego.translation, ego.translation, atol=1e-8)
-    for got, want in zip(out.cluster_transforms, [t0, t1]):
+    scene = _scene(rng, ego, [t0, t1])
+    got_ego, _ = refine_ego(scene.bg_x, scene.bg_y, ego, ICP_BG)
+    transforms, _ = _refine_clusters(scene, [t0, t1])
+    np.testing.assert_allclose(got_ego.rotation, ego.rotation, atol=1e-8)
+    np.testing.assert_allclose(got_ego.translation, ego.translation, atol=1e-8)
+    for got, want in zip(transforms, [t0, t1]):
         np.testing.assert_allclose(got.rotation, want.rotation, atol=1e-8)
         np.testing.assert_allclose(got.translation, want.translation, atol=1e-8)
 
@@ -302,17 +312,15 @@ def test_refine_scene_fixed_point_on_perfect_inputs(rng):
 def test_refine_scene_recovers_perturbed_ego(rng):
     ego = make_transform(rng, max_angle_deg=3.0, max_translation=0.5)
     t0 = make_transform(rng, max_angle_deg=5.0, max_translation=0.5)
-    decomp, x, y = _scene_decomp(rng, ego, [t0])
-    perturbed = dataclasses.replace(
-        decomp, ego=compose(_perturbation(rng, 1.0, 0.05), ego)
-    )
-    out = refine_scene(perturbed, x, y)
-    assert out.ego_refined
+    scene = _scene(rng, ego, [t0])
+    perturbed = compose(_perturbation(rng, 1.0, 0.05), ego)
+    got, refined = refine_ego(scene.bg_x, scene.bg_y, perturbed, ICP_BG)
+    assert refined
     angle = np.degrees(
-        np.arccos(np.clip((np.trace(ego.rotation.T @ out.ego.rotation) - 1) / 2, -1, 1))
+        np.arccos(np.clip((np.trace(ego.rotation.T @ got.rotation) - 1) / 2, -1, 1))
     )
     assert angle < 0.1
-    assert np.linalg.norm(out.ego.translation - ego.translation) < 0.01
+    assert np.linalg.norm(got.translation - ego.translation) < 0.01
 
 
 def test_refine_scene_keeps_sparse_cluster_untouched(rng):
@@ -322,42 +330,22 @@ def test_refine_scene_keeps_sparse_cluster_untouched(rng):
     sparse_pts = rng.normal(size=(5, 3)) + np.array([0.0, 0.0, 200.0])
     cluster_pts = [rng.normal(size=(40, 3)) + np.array([20.0, 0.0, 0.0]), sparse_pts]
     t_sparse = make_transform(rng, max_angle_deg=5.0, max_translation=0.5)
-    decomp, x, _ = _scene_decomp(rng, ego, [t0, t_sparse], cluster_pts=cluster_pts)
-    # rebuild the target without the sparse cluster so it has no counterpart
-    bg = x.points[decomp.bg_mask_x]
-    fg0 = cluster_pts[0]
-    y = PointCloud(np.vstack([ego.apply(bg), t0.apply(fg0)]))
-    bg_mask_y = np.zeros(len(y), dtype=bool)
-    bg_mask_y[: len(bg)] = True
-    decomp = dataclasses.replace(
-        decomp, bg_mask_y=bg_mask_y, fg_prob_y=(~bg_mask_y).astype(float)
-    )
-    out = refine_scene(decomp, x, y)
-    assert out.cluster_refined[0]
-    assert not out.cluster_refined[1]
-    np.testing.assert_array_equal(
-        out.cluster_transforms[1].rotation, t_sparse.rotation
-    )
-
-
-def test_refine_scene_never_touches_masks_or_labels(rng):
-    ego = make_transform(rng, max_angle_deg=2.0, max_translation=0.3)
-    t0 = make_transform(rng, max_angle_deg=4.0, max_translation=0.4)
-    decomp, x, y = _scene_decomp(rng, ego, [t0])
-    out = refine_scene(decomp, x, y)
-    np.testing.assert_array_equal(out.bg_mask_x, decomp.bg_mask_x)
-    np.testing.assert_array_equal(out.bg_mask_y, decomp.bg_mask_y)
-    np.testing.assert_array_equal(out.clusters.labels, decomp.clusters.labels)
+    scene = _scene(rng, ego, [t0, t_sparse], cluster_pts=cluster_pts)
+    # the target foreground lacks the sparse cluster, so it has no counterpart
+    scene.fg_y = PointCloud(t0.apply(cluster_pts[0]))
+    transforms, refined = _refine_clusters(scene, [t0, t_sparse])
+    assert refined == [True, False]
+    assert transforms[1] is t_sparse
 
 
 def _three_cluster_scene(rng):
     ego = make_transform(rng, max_angle_deg=2.0, max_translation=0.3)
     ts = [make_transform(rng, max_angle_deg=4.0, max_translation=0.4) for _ in range(3)]
-    return _scene_decomp(rng, ego, ts)
+    return _scene(rng, ego, ts), ego, ts
 
 
 def test_refine_scene_builds_one_tree_per_target_cloud(rng, monkeypatch):
-    decomp, x, y = _three_cluster_scene(rng)
+    scene, ego, ts = _three_cluster_scene(rng)
     builds = []
 
     def counting_tree(*args, **kwargs):
@@ -366,8 +354,9 @@ def test_refine_scene_builds_one_tree_per_target_cloud(rng, monkeypatch):
 
     monkeypatch.setattr(rigidflow.geom, "cKDTree", counting_tree)
     monkeypatch.setattr(rigidflow.refine, "cKDTree", counting_tree, raising=False)
-    out = refine_scene(decomp, x, y)
-    assert out.ego_refined and all(out.cluster_refined)
+    _, ego_refined = refine_ego(scene.bg_x, scene.bg_y, ego, ICP_BG)
+    _, refined = _refine_clusters(scene, ts)
+    assert ego_refined and all(refined)
     # one tree for the target background, one shared by the three cluster runs
     assert len(builds) <= 2
 
@@ -375,7 +364,7 @@ def test_refine_scene_builds_one_tree_per_target_cloud(rng, monkeypatch):
 def test_refine_scene_calls_icp_by_module_name_once_per_run(rng, monkeypatch):
     # the benchmark tracer wraps `rigidflow.refine.icp_refine`; a refactor that
     # bypassed the name would silently blind it
-    decomp, x, y = _three_cluster_scene(rng)
+    scene, ego, ts = _three_cluster_scene(rng)
     calls = []
 
     def counting_icp(*args, **kwargs):
@@ -384,7 +373,8 @@ def test_refine_scene_calls_icp_by_module_name_once_per_run(rng, monkeypatch):
         return result
 
     monkeypatch.setattr(rigidflow.refine, "icp_refine", counting_icp)
-    out = refine_scene(decomp, x, y)
-    assert len(calls) == 1 + decomp.clusters.n_clusters
-    assert calls[0].transform is out.ego
-    assert all(c.transform is t for c, t in zip(calls[1:], out.cluster_transforms))
+    got_ego, _ = refine_ego(scene.bg_x, scene.bg_y, ego, ICP_BG)
+    transforms, _ = _refine_clusters(scene, ts)
+    assert len(calls) == 1 + scene.clusters.n_clusters
+    assert calls[0].transform is got_ego
+    assert all(c.transform is t for c, t in zip(calls[1:], transforms))
