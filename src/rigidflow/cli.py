@@ -19,16 +19,13 @@ import numpy as np
 from .energy import total_energy
 from .geom import FlowField, PointCloud
 from .io import (
-    ClusterSummary,
     ParseError,
-    RunReport,
-    _transform_to_text,
-    read_config,
+    format_key_values,
+    read_key_values,
     read_point_cloud_any,
     read_transform,
-    serialize_report,
+    transform_to_text,
     write_point_cloud,
-    write_report,
     write_transform,
 )
 from .metrics import ego_metrics, flow_metrics
@@ -45,6 +42,42 @@ class _InputError(Exception):
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _flag(value) -> str:
+    return "true" if value else "false"
+
+
+def _sorted_pairs(prefix: str, values: dict) -> list:
+    """`prefix.key` report pairs in key order."""
+    return [(f"{prefix}.{key}", values[key]) for key in sorted(values)]
+
+
+def _field_pairs(prefix: str, values) -> list:
+    """`prefix.field` report pairs of a metrics dataclass, in field order."""
+    return [
+        (f"{prefix}.{f.name}", repr(getattr(values, f.name))) for f in dataclasses.fields(values)
+    ]
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write a report to `path`, or to stdout when no path is given."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
+def _read_config(path: str | None, seed: int | None) -> PipelineConfig:
+    """The config file's values over the defaults, then `--seed` over both."""
+    flat = read_key_values(path) if path else {}
+    if seed is not None:
+        flat["seed"] = str(seed)
+    try:
+        return PipelineConfig.from_flat_dict(flat)
+    except ValueError as exc:
+        raise ParseError(path, 0, str(exc)) from exc
 
 
 def _load_cloud(path: str) -> PointCloud:
@@ -90,10 +123,7 @@ def _attach_masks(pc: PointCloud, mode: str, path: str | None, height: float, si
 def cmd_flow(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     try:
-        cfg = read_config(args.config) if args.config else PipelineConfig()
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        cfg.validate()
+        cfg = _read_config(args.config, args.seed)
 
         t0 = time.perf_counter()
         src = _load_cloud(args.src)
@@ -119,29 +149,30 @@ def cmd_flow(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(f"numerical failure: {exc}", 3)
 
-    report = RunReport(config=cfg.to_flat_dict())
-    report.extra["command"] = "flow"
-    report.extra["src"] = args.src
-    report.extra["tgt"] = args.tgt
-    report.extra["features"] = args.features
-    report.extra["masks"] = args.masks
-    report.extra["refine"] = "true" if args.refine else "false"
-    report.extra["src_points"] = str(len(x))
-    report.extra["tgt_points"] = str(len(y))
-    report.extra["src_voxels"] = str(len(decomp.voxel_x))
-    report.extra["tgt_voxels"] = str(len(decomp.voxel_y))
-    report.extra["ego_transform"] = _transform_to_text(decomp.ego)
-
+    run = {
+        "command": "flow",
+        "src": args.src,
+        "tgt": args.tgt,
+        "features": args.features,
+        "masks": args.masks,
+        "refine": _flag(args.refine),
+        "src_points": str(len(x)),
+        "tgt_points": str(len(y)),
+        "src_voxels": str(len(decomp.voxel_x)),
+        "tgt_voxels": str(len(decomp.voxel_y)),
+        "ego_transform": transform_to_text(decomp.ego),
+    }
+    pairs = _sorted_pairs("run", run) + _sorted_pairs("config", cfg.to_flat_dict())
     if x.flow is not None:
-        report.flow_metrics = flow_metrics(flow, FlowField(x.flow))
+        pairs += _field_pairs("flow", flow_metrics(flow, FlowField(x.flow)))
 
     try:
         if args.gt_ego:
             gt_ego = read_transform(args.gt_ego)
-            report.ego_metrics = ego_metrics(decomp.ego, gt_ego)
+            pairs += _field_pairs("ego", ego_metrics(decomp.ego, gt_ego))
             if args.masks == "oracle" and x.fg_prob is not None and y.fg_prob is not None:
                 fg_index = np.flatnonzero(~decomp.bg_mask_x)
-                report.energy = total_energy(
+                energy = total_energy(
                     pred_fg_x=x.fg_prob,
                     gt_fg_x=(x.fg_prob > 0.5).astype(float),
                     pred_fg_y=y.fg_prob,
@@ -155,18 +186,18 @@ def cmd_flow(args: argparse.Namespace) -> int:
                     fg_flow=decomp.unconstrained_flow,
                     fg_y=decomp.voxel_y.select(~decomp.bg_mask_y),
                 )
+                pairs += _field_pairs("energy", energy)
     except (ParseError, OSError) as exc:
         return _fail(str(exc), 2)
 
+    pairs.append(("cluster.count", str(decomp.clusters.n_clusters)))
     for k in range(decomp.clusters.n_clusters):
-        report.clusters.append(
-            ClusterSummary(
-                size=int(np.count_nonzero(decomp.clusters.labels == k)),
-                transform=decomp.cluster_transforms[k],
-                fitted=bool(decomp.cluster_fitted[k]),
-                refined=bool(decomp.cluster_refined[k]),
-            )
-        )
+        pairs += [
+            (f"cluster.{k}.size", str(decomp.clusters.cluster_sizes[k])),
+            (f"cluster.{k}.fitted", _flag(decomp.cluster_fitted[k])),
+            (f"cluster.{k}.refined", _flag(decomp.cluster_refined[k])),
+            (f"cluster.{k}.transform", transform_to_text(decomp.cluster_transforms[k])),
+        ]
 
     t0 = time.perf_counter()
     out_cloud = PointCloud(points=x.points, flow=flow.vectors)
@@ -174,12 +205,10 @@ def cmd_flow(args: argparse.Namespace) -> int:
     if args.out_ego:
         write_transform(args.out_ego, decomp.ego)
     timings["write_ms"] = 1e3 * (time.perf_counter() - t0)
-    report.timings_ms = timings
 
-    if args.report:
-        write_report(args.report, report, include_timings=args.timings)
-    else:
-        sys.stdout.write(serialize_report(report, include_timings=args.timings))
+    if args.timings:
+        pairs += _sorted_pairs("timing", {key: repr(ms) for key, ms in timings.items()})
+    _emit(format_key_values(pairs), args.report)
     return 0
 
 
@@ -238,23 +267,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise _InputError(f"no flow data in {args.pred}")
         if gt.flow is None:
             raise _InputError(f"no flow data in {args.gt}")
-        report = RunReport(extra={"command": "eval", "pred": args.pred, "gt": args.gt})
-        report.flow_metrics = flow_metrics(FlowField(pred.flow), FlowField(gt.flow))
+        pairs = _sorted_pairs("run", {"command": "eval", "pred": args.pred, "gt": args.gt})
+        pairs += _field_pairs("flow", flow_metrics(FlowField(pred.flow), FlowField(gt.flow)))
         if args.pred_ego or args.gt_ego:
             if not (args.pred_ego and args.gt_ego):
                 raise _InputError("--pred-ego and --gt-ego must be given together")
-            report.ego_metrics = ego_metrics(
-                read_transform(args.pred_ego), read_transform(args.gt_ego)
+            pairs += _field_pairs(
+                "ego", ego_metrics(read_transform(args.pred_ego), read_transform(args.gt_ego))
             )
     except (_InputError, OSError, ValueError) as exc:
         return _fail(str(exc), 2)
 
-    text = serialize_report(report)
+    # eval scores no clusters, but its report keeps the section's count line
+    pairs.append(("cluster.count", "0"))
+    text = format_key_values(pairs)
     sys.stdout.write(text)
     if args.report:
         try:
-            with open(args.report, "w") as fh:
-                fh.write(text)
+            _emit(text, args.report)
         except OSError as exc:
             return _fail(str(exc), 2)
     return 0

@@ -145,12 +145,6 @@ class RigidTransform:
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "RigidTransform":
-        """Build from a 4x4 (or 3x4) homogeneous matrix."""
-        m = np.asarray(m, dtype=np.float64)
-        return cls(m[:3, :3], m[:3, 3])
-
     def matrix(self) -> np.ndarray:
         """The 4x4 homogeneous matrix."""
         m = np.eye(4)

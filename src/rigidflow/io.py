@@ -1,4 +1,5 @@
-"""File formats: binary point clouds, text clouds, transforms, configs, reports.
+"""File formats: binary point clouds, text clouds, transforms, and flat
+`key = value` files (configs and reports).
 
 The native cloud format is a little-endian binary container (magic "RGF1"):
 a 16-byte header (magic, point count u32, feature dim u32, attribute bitmask
@@ -6,21 +7,19 @@ u32) followed by N x 3 float32 coordinates and the optional attribute blocks
 in bitmask order: features (N x D float32), fg_prob (N float32), cluster_id
 (N int32), flow (N x 3 float32). A plain-text XYZ[+flow] format is provided
 for interchange. Transforms are row-major 3x4 float text. Configs and
-reports are flat "key = value" text, written in a deterministic order so
-identical runs produce identical bytes.
+reports are flat "key = value" text; this module moves them as text and
+leaves their meaning to the caller (`PipelineConfig.from_flat_dict` for
+configs, the CLI for reports), which writes keys in a fixed order so that
+identical runs produce identical bytes. Only `geom` is imported.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 
-from .energy import EnergyBreakdown
 from .geom import PointCloud, RigidTransform
-from .metrics import EgoMetrics, FlowMetrics
-from .pipeline import PipelineConfig
 
 __all__ = [
     "ParseError",
@@ -32,14 +31,9 @@ __all__ = [
     "read_point_cloud_any",
     "read_transform",
     "write_transform",
-    "read_config",
-    "write_config",
-    "ClusterSummary",
-    "RunReport",
-    "serialize_report",
-    "parse_report",
-    "write_report",
-    "read_report",
+    "transform_to_text",
+    "format_key_values",
+    "read_key_values",
 ]
 
 MAGIC = b"RGF1"
@@ -154,34 +148,43 @@ def write_xyz_text(path, pc: PointCloud) -> None:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
+def _text_lines(path):
+    """(byte offset, stripped bytes) of each line that is neither blank nor a `#` comment."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    offset = 0
+    for line in raw.split(b"\n"):
+        stripped = line.strip()
+        if stripped and not stripped.startswith(b"#"):
+            yield offset, stripped
+        offset += len(line) + 1
+
+
 def read_xyz_text(path) -> PointCloud:
     """Read the text format: 3 or 6 whitespace-separated floats per line."""
     points, flows = [], []
     width = None
-    offset = 0
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    for line in raw.split(b"\n"):
-        stripped = line.strip()
-        if stripped and not stripped.startswith(b"#"):
-            cols = stripped.split()
-            if width is None:
-                width = len(cols)
-                if width not in (3, 6):
-                    raise ParseError(path, offset, f"expected 3 or 6 columns, got {len(cols)}")
-            if len(cols) != width:
-                raise ParseError(path, offset, f"expected {width} columns, got {len(cols)}")
-            try:
-                values = [float(c) for c in cols]
-            except ValueError as exc:
-                raise ParseError(path, offset, f"bad number: {exc}") from exc
-            points.append(values[:3])
-            if width == 6:
-                flows.append(values[3:])
-        offset += len(line) + 1
+    for offset, line in _text_lines(path):
+        cols = line.split()
+        if width is None:
+            width = len(cols)
+            if width not in (3, 6):
+                raise ParseError(path, offset, f"expected 3 or 6 columns, got {len(cols)}")
+        if len(cols) != width:
+            raise ParseError(path, offset, f"expected {width} columns, got {len(cols)}")
+        try:
+            values = [float(c) for c in cols]
+        except ValueError as exc:
+            raise ParseError(path, offset, f"bad number: {exc}") from exc
+        points.append(values[:3])
+        if width == 6:
+            flows.append(values[3:])
     if not points:
         raise ParseError(path, 0, "no points in file")
-    return PointCloud(np.array(points), flow=np.array(flows) if flows else None)
+    try:
+        return PointCloud(np.array(points), flow=np.array(flows) if flows else None)
+    except ValueError as exc:
+        raise ParseError(path, 0, str(exc)) from exc
 
 
 def read_point_cloud_any(path) -> PointCloud:
@@ -205,21 +208,15 @@ def write_transform(path, t: RigidTransform) -> None:
 
 
 def read_transform(path) -> RigidTransform:
-    with open(path, "rb") as fh:
-        raw = fh.read()
     rows = []
-    offset = 0
-    for line in raw.split(b"\n"):
-        stripped = line.strip()
-        if stripped and not stripped.startswith(b"#"):
-            cols = stripped.split()
-            if len(cols) != 4:
-                raise ParseError(path, offset, f"expected 4 columns, got {len(cols)}")
-            try:
-                rows.append([float(c) for c in cols])
-            except ValueError as exc:
-                raise ParseError(path, offset, f"bad number: {exc}") from exc
-        offset += len(line) + 1
+    for offset, line in _text_lines(path):
+        cols = line.split()
+        if len(cols) != 4:
+            raise ParseError(path, offset, f"expected 4 columns, got {len(cols)}")
+        try:
+            rows.append([float(c) for c in cols])
+        except ValueError as exc:
+            raise ParseError(path, offset, f"bad number: {exc}") from exc
     if len(rows) != 3:
         raise ParseError(path, 0, f"expected 3 rows, got {len(rows)}")
     m = np.array(rows)
@@ -229,153 +226,31 @@ def read_transform(path) -> RigidTransform:
         raise ParseError(path, 0, str(exc)) from exc
 
 
-def write_config(path, cfg: PipelineConfig) -> None:
-    flat = cfg.to_flat_dict()
-    with open(path, "w") as fh:
-        for key in sorted(flat):
-            fh.write(f"{key} = {flat[key]}\n")
-
-
-def read_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
-    """Parse a flat key/value config; keys absent from the file keep defaults."""
-    flat = (base or PipelineConfig()).to_flat_dict()
-    offset = 0
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    for line in raw.split(b"\n"):
-        stripped = line.strip()
-        if stripped and not stripped.startswith(b"#"):
-            if b"=" not in stripped:
-                raise ParseError(path, offset, "expected 'key = value'")
-            key, _, value = stripped.partition(b"=")
-            flat[key.strip().decode()] = value.strip().decode()
-        offset += len(line) + 1
-    try:
-        return PipelineConfig.from_flat_dict(flat)
-    except ValueError as exc:
-        raise ParseError(path, 0, str(exc)) from exc
-
-
-@dataclass
-class ClusterSummary:
-    """Report row for one cluster: size, transform, fit/refine flags."""
-
-    size: int
-    transform: RigidTransform
-    fitted: bool
-    refined: bool
-
-
-@dataclass
-class RunReport:
-    """Structured run summary that serializes losslessly to flat text.
-
-    `config` is the flat config echo, `extra` holds free-form run metadata
-    (command, paths, counts). Metric/energy sections are optional. Timing
-    entries are carried in `timings_ms` but only written when explicitly
-    requested, so default artifacts stay byte-identical across reruns.
-    """
-
-    config: dict = dataclass_field(default_factory=dict)
-    extra: dict = dataclass_field(default_factory=dict)
-    flow_metrics: FlowMetrics | None = None
-    ego_metrics: EgoMetrics | None = None
-    energy: EnergyBreakdown | None = None
-    clusters: list = dataclass_field(default_factory=list)
-    timings_ms: dict = dataclass_field(default_factory=dict)
-
-
-def _transform_to_text(t: RigidTransform) -> str:
+def transform_to_text(t: RigidTransform) -> str:
+    """One line of the 12 row-major values of [R | t], as report values hold them."""
     values = np.concatenate([t.rotation, t.translation[:, None]], axis=1).reshape(-1)
     return " ".join(repr(float(v)) for v in values)
 
 
-def _transform_from_text(text: str) -> RigidTransform:
-    values = np.array([float(c) for c in text.split()])
-    m = values.reshape(3, 4)
-    return RigidTransform(m[:, :3], m[:, 3])
+def format_key_values(pairs) -> str:
+    """`key = value` lines, one per (key, text) pair, in the given order."""
+    return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
-def serialize_report(report: RunReport, include_timings: bool = False) -> str:
-    lines = []
-    for key in sorted(report.extra):
-        lines.append(f"run.{key} = {report.extra[key]}")
-    for key in sorted(report.config):
-        lines.append(f"config.{key} = {report.config[key]}")
-    for section, values in (
-        ("flow", report.flow_metrics),
-        ("ego", report.ego_metrics),
-        ("energy", report.energy),
-    ):
-        if values is not None:
-            for f in fields(values):
-                lines.append(f"{section}.{f.name} = {repr(getattr(values, f.name))}")
-    lines.append(f"cluster.count = {len(report.clusters)}")
-    for k, summary in enumerate(report.clusters):
-        lines.append(f"cluster.{k}.size = {summary.size}")
-        lines.append(f"cluster.{k}.fitted = {'true' if summary.fitted else 'false'}")
-        lines.append(f"cluster.{k}.refined = {'true' if summary.refined else 'false'}")
-        lines.append(f"cluster.{k}.transform = {_transform_to_text(summary.transform)}")
-    if include_timings:
-        for key in sorted(report.timings_ms):
-            lines.append(f"timing.{key} = {repr(float(report.timings_ms[key]))}")
-    return "\n".join(lines) + "\n"
+def read_key_values(path) -> dict[str, str]:
+    """Read a flat `key = value` file (a config or a report) into text values.
 
-
-def parse_report(text: str) -> RunReport:
-    """Inverse of `serialize_report` (including timing lines when present)."""
-    report = RunReport()
-    flow: dict = {}
-    ego: dict = {}
-    energy: dict = {}
-    clusters: dict = {}
-    for lineno, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        key, sep, value = line.partition(" = ")
-        if not sep:
-            raise ValueError(f"report line {lineno + 1}: expected 'key = value'")
-        head, _, rest = key.partition(".")
-        if head == "run":
-            report.extra[rest] = value
-        elif head == "config":
-            report.config[rest] = value
-        elif head == "flow":
-            flow[rest] = float(value)
-        elif head == "ego":
-            ego[rest] = float(value)
-        elif head == "energy":
-            energy[rest] = float(value)
-        elif head == "timing":
-            report.timings_ms[rest] = float(value)
-        elif head == "cluster":
-            clusters[rest] = value
-        else:
-            raise ValueError(f"report line {lineno + 1}: unknown section {head!r}")
-    if flow:
-        report.flow_metrics = FlowMetrics(**flow)
-    if ego:
-        report.ego_metrics = EgoMetrics(**ego)
-    if energy:
-        report.energy = EnergyBreakdown(**energy)
-    count = int(clusters.pop("count", "0"))
-    for k in range(count):
-        report.clusters.append(
-            ClusterSummary(
-                size=int(clusters[f"{k}.size"]),
-                fitted=clusters[f"{k}.fitted"] == "true",
-                refined=clusters[f"{k}.refined"] == "true",
-                transform=_transform_from_text(clusters[f"{k}.transform"]),
-            )
-        )
-    return report
-
-
-def write_report(path, report: RunReport, include_timings: bool = False) -> None:
-    with open(path, "w") as fh:
-        fh.write(serialize_report(report, include_timings=include_timings))
-
-
-def read_report(path) -> RunReport:
-    with open(path) as fh:
-        return parse_report(fh.read())
+    Blank lines and `#` lines are skipped; every other line splits on its
+    first `=`, and key and value are stripped. A later line wins over an
+    earlier one with the same key.
+    """
+    out = {}
+    for offset, line in _text_lines(path):
+        if b"=" not in line:
+            raise ParseError(path, offset, "expected 'key = value'")
+        key, _, value = line.partition(b"=")
+        try:
+            out[key.strip().decode()] = value.strip().decode()
+        except UnicodeDecodeError as exc:
+            raise ParseError(path, offset, f"not UTF-8 text: {exc}") from exc
+    return out

@@ -23,7 +23,7 @@ import dataclasses
 import operator
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +105,7 @@ class PipelineConfig:
     outlier bin competes with real matches. Each `infer_rigid_flow` call
     uses two threads, one per branch, and its outputs do not depend on their
     scheduling: they are deterministic for a fixed `seed` on a fixed BLAS
-    build and thread count.
+    build and thread count. Invalid values raise ValueError on construction.
     """
 
     voxel_size: float = 0.1
@@ -127,7 +127,7 @@ class PipelineConfig:
     icp_fg: IcpConfig = IcpConfig(max_correspondence_distance=0.25, max_iterations=300)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         positive = {
             "voxel_size": self.voxel_size,
             "range_cutoff": self.range_cutoff,
@@ -136,7 +136,7 @@ class PipelineConfig:
             "tau_flow": self.tau_flow,
         }
         for name, value in positive.items():
-            if value <= 0:
+            if not value > 0:  # NaN is not positive either
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.fg_threshold < 1.0:
             raise ValueError("fg_threshold must be in (0, 1)")
@@ -195,7 +195,7 @@ class SceneDecomposition:
     order; `cluster_transforms[k]` explains cluster k (identity placeholder
     when `cluster_fitted[k]` is False, in which case the cluster falls back
     to the unconstrained flow during assembly). `voxel_flow` is the
-    assembled per-voxel rigid flow.
+    assembled per-voxel rigid flow, None until `assemble_rigid_flow` has run.
     """
 
     bg_mask_x: np.ndarray
@@ -204,13 +204,13 @@ class SceneDecomposition:
     ego: RigidTransform
     cluster_transforms: list
     cluster_fitted: list
-    ego_refined: bool = False
-    cluster_refined: list = field(default_factory=list)
-    voxel_x: PointCloud | None = None
-    voxel_y: PointCloud | None = None
-    unconstrained_flow: FlowField | None = None
+    ego_refined: bool
+    cluster_refined: list
+    voxel_x: PointCloud
+    voxel_y: PointCloud
+    unconstrained_flow: FlowField
+    assignment: AssignmentMatrix
     voxel_flow: FlowField | None = None
-    assignment: AssignmentMatrix | None = None
 
     def __post_init__(self):
         if len(self.cluster_transforms) != self.clusters.n_clusters:
@@ -232,7 +232,6 @@ def preprocess(
     Raises:
         ValueError: "insufficient points" when fewer than 3 points survive.
     """
-    cfg.validate()
     keep = np.linalg.norm(pc.points, axis=1) <= cfg.range_cutoff
     if cfg.remove_ground:
         keep &= pc.points[:, 1] > cfg.ground_removal_y
@@ -264,8 +263,6 @@ def assemble_rigid_flow(decomp: SceneDecomposition) -> FlowField:
     unfitted cluster) keep the unconstrained soft flow. By construction the
     flow inside every transformed segment is exactly rigid.
     """
-    if decomp.voxel_x is None or decomp.unconstrained_flow is None:
-        raise ValueError("decomposition lacks voxel-level data")
     pts = decomp.voxel_x.points
     out = np.zeros_like(pts)
     bg = decomp.bg_mask_x
@@ -380,7 +377,6 @@ def infer_rigid_flow(
     """
     if cfg is None:
         cfg = PipelineConfig()
-    cfg.validate()
     for name, pc in (("source", x), ("target", y)):
         if pc.features is None or pc.fg_prob is None:
             raise ValueError(f"{name} cloud needs features and fg_prob attributes")

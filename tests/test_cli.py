@@ -4,9 +4,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rigidflow.cli import main
-from rigidflow.io import read_point_cloud, read_report, read_transform, write_point_cloud
+from rigidflow.io import read_key_values, read_point_cloud, read_transform, write_point_cloud
 from rigidflow.geom import PointCloud
 
 
@@ -70,14 +71,11 @@ def test_flow_end_to_end_oracle_features(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    report = read_report(report_path)
-    assert report.flow_metrics is not None
-    assert report.flow_metrics.epe3d_mean < 1e-3
-    assert report.ego_metrics is not None
-    assert report.ego_metrics.rre < 0.1
-    assert report.energy is not None
-    assert report.energy.l_bg <= 1e-6
-    assert len(report.clusters) == 3
+    report = read_key_values(report_path)
+    assert float(report["flow.epe3d_mean"]) < 1e-3
+    assert float(report["ego.rre"]) < 0.1
+    assert float(report["energy.l_bg"]) <= 1e-6
+    assert report["cluster.count"] == "3"
     pred = read_point_cloud(out_flow)
     assert pred.flow is not None and len(pred) > 0
 
@@ -112,6 +110,70 @@ def test_flow_out_of_range_fg_prob_exits_2_naming_attribute(tmp_path, rng, capsy
     assert rc == 2
     err = capsys.readouterr().err
     assert "prob.rgf" in err and "fg_prob values must lie in [0, 1]" in err
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "definitely_not_a_key",
+        # removed options: a config that still sets one must fail loudly
+        "flow_smooth_k",
+        "flow_smooth_radius",
+        "normalized_chamfer",
+        "lambda_inlier",
+        "lambda_cd",
+    ],
+)
+def test_flow_config_unknown_key_exits_2(tmp_path, capsys, key):
+    prefix = synth(tmp_path)
+    cfg = tmp_path / "unknown.cfg"
+    cfg.write_text(f"{key} = 3\n")
+    rc = main(
+        ["flow", "--src", f"{prefix}_x.rgf", "--tgt", f"{prefix}_y.rgf", "--config", str(cfg)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown.cfg" in err and "unknown config key" in err
+
+
+@pytest.mark.parametrize(
+    "line, name",
+    [
+        ("voxel_size = -1", "voxel_size"),
+        ("tau_ego = nan", "tau_ego"),
+        ("fg_threshold = 1.5", "fg_threshold"),
+        ("icp_fg.max_iterations = 0", "max_iterations"),
+    ],
+)
+def test_flow_config_invalid_value_exits_2(tmp_path, capsys, line, name):
+    prefix = synth(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"seed = 3\n{line}\n")
+    out_flow = tmp_path / "pred.rgf"
+    rc = main(
+        [
+            "flow", "--src", f"{prefix}_x.rgf", "--tgt", f"{prefix}_y.rgf",
+            "--config", str(cfg), "--out-flow", str(out_flow),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad.cfg" in err and name in err
+    assert not out_flow.exists()
+
+
+def test_flow_non_finite_text_cloud_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.xyz"
+    bad.write_text("0.0 0.0 0.0\nnan 1.0 0.0\n1.0 0.0 1.0\n")
+    rc = main(
+        [
+            "flow", "--src", str(bad), "--tgt", str(bad), "--features", "xyz",
+            "--masks", "height", "--out-flow", str(tmp_path / "pred.rgf"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad.xyz" in err and "non-finite" in err
 
 
 def test_flow_numerical_failure_exits_3(tmp_path, rng, capsys):
@@ -263,3 +325,104 @@ def test_flow_deterministic_under_threaded_blas(tmp_path):
         assert result.returncode == 0, result.stderr
         outs.append([open(p, "rb").read() for p in paths])
     assert outs[0] == outs[1]
+
+
+def _report_keys(text):
+    return [line.partition(" = ")[0] for line in text.splitlines()]
+
+
+FLOW_RUN_AND_CONFIG_KEYS = [
+    "run.command",
+    "run.ego_transform",
+    "run.features",
+    "run.masks",
+    "run.refine",
+    "run.src",
+    "run.src_points",
+    "run.src_voxels",
+    "run.tgt",
+    "run.tgt_points",
+    "run.tgt_voxels",
+    "config.dbscan_eps",
+    "config.dbscan_min_cluster_size",
+    "config.dbscan_min_samples",
+    "config.ego_sample_size",
+    "config.fg_threshold",
+    "config.ground_removal_y",
+    "config.icp_bg.convergence_epsilon",
+    "config.icp_bg.max_correspondence_distance",
+    "config.icp_bg.max_iterations",
+    "config.icp_fg.convergence_epsilon",
+    "config.icp_fg.max_correspondence_distance",
+    "config.icp_fg.max_iterations",
+    "config.interp_k",
+    "config.max_points",
+    "config.range_cutoff",
+    "config.remove_ground",
+    "config.seed",
+    "config.sinkhorn_iterations",
+    "config.slack_d0",
+    "config.tau_ego",
+    "config.tau_flow",
+    "config.voxel_size",
+]
+FLOW_KEYS = ["flow.epe3d_mean", "flow.epe3d_median", "flow.acc3ds", "flow.acc3dr", "flow.outliers"]
+EGO_KEYS = ["ego.rre", "ego.rte"]
+ENERGY_KEYS = [
+    "energy.l_bg",
+    "energy.l_trans",
+    "energy.l_inlier",
+    "energy.l_ego",
+    "energy.l_rigid",
+    "energy.l_cd",
+    "energy.l_fg",
+    "energy.total",
+    "energy.lambda_inlier",
+    "energy.lambda_cd",
+]
+CLUSTER_KEYS = ["cluster.count"] + [
+    f"cluster.{k}.{name}" for k in range(3) for name in ("size", "fitted", "refined", "transform")
+]
+
+
+def test_report_key_order_is_pinned(tmp_path, capsys):
+    # reports are byte-compared artifacts, so their key order is part of them
+    prefix = synth(tmp_path, "--noise-sigma", "0", "--dropout", "0")
+    capsys.readouterr()  # drop synth's listing of the files it wrote
+    flow_args = [
+        "flow", "--src", f"{prefix}_x.rgf", "--tgt", f"{prefix}_y.rgf",
+        "--gt-ego", f"{prefix}_ego.txt",
+        "--out-flow", str(tmp_path / "pred.rgf"), "--out-ego", str(tmp_path / "ego.txt"),
+    ]
+    expected = FLOW_RUN_AND_CONFIG_KEYS + FLOW_KEYS + EGO_KEYS + ENERGY_KEYS + CLUSTER_KEYS
+
+    assert main(flow_args) == 0
+    stdout_keys = _report_keys(capsys.readouterr().out)
+    assert stdout_keys == expected
+    assert not any(key.startswith("timing.") for key in stdout_keys)
+
+    report = tmp_path / "timed.txt"
+    assert main(flow_args + ["--report", str(report), "--timings"]) == 0
+    assert capsys.readouterr().out == ""
+    assert _report_keys(report.read_text()) == expected + [
+        "timing.infer_ms",
+        "timing.preprocess_ms",
+        "timing.read_ms",
+        "timing.write_ms",
+    ]
+
+    eval_report = tmp_path / "eval.txt"
+    rc = main(
+        [
+            "eval", "--pred", str(tmp_path / "pred.rgf"), "--gt", f"{prefix}_gt_flow.rgf",
+            "--pred-ego", str(tmp_path / "ego.txt"), "--gt-ego", f"{prefix}_ego.txt",
+            "--report", str(eval_report),
+        ]
+    )
+    assert rc == 0
+    eval_text = capsys.readouterr().out
+    assert eval_report.read_text() == eval_text
+    assert _report_keys(eval_text) == (
+        ["run.command", "run.gt", "run.pred"] + FLOW_KEYS + EGO_KEYS + ["cluster.count"]
+    )
+    assert "cluster.count = 0" in eval_text

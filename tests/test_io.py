@@ -1,27 +1,20 @@
 import numpy as np
 import pytest
 
-from rigidflow.energy import EnergyBreakdown
 from rigidflow.geom import PointCloud
 from rigidflow.io import (
-    ClusterSummary,
     ParseError,
-    RunReport,
-    parse_report,
-    read_config,
+    format_key_values,
+    read_key_values,
     read_point_cloud,
     read_point_cloud_any,
-    read_report,
     read_transform,
     read_xyz_text,
-    serialize_report,
-    write_config,
+    transform_to_text,
     write_point_cloud,
-    write_report,
     write_transform,
     write_xyz_text,
 )
-from rigidflow.metrics import EgoMetrics, FlowMetrics
 from rigidflow.pipeline import PipelineConfig
 
 from conftest import make_transform
@@ -131,17 +124,25 @@ def test_transform_rejects_malformed(tmp_path):
         read_transform(path)
 
 
+def test_xyz_text_non_finite_is_a_parse_error(tmp_path):
+    path = tmp_path / "nan.xyz"
+    path.write_text("1.0 2.0 3.0\nnan 0.0 0.0\n0.5 0.5 0.5\n")
+    with pytest.raises(ParseError, match="non-finite") as err:
+        read_xyz_text(path)
+    assert "nan.xyz" in str(err.value)
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = PipelineConfig(seed=9, tau_ego=0.25, slack_d0=0.4)
     path = tmp_path / "run.cfg"
-    write_config(path, cfg)
-    assert read_config(path) == cfg
+    path.write_text(format_key_values(sorted(cfg.to_flat_dict().items())))
+    assert PipelineConfig.from_flat_dict(read_key_values(path)) == cfg
 
 
 def test_config_file_partial_overrides(tmp_path):
     path = tmp_path / "partial.cfg"
     path.write_text("# comment\nseed = 42\nicp_bg.max_correspondence_distance = 0.5\n")
-    cfg = read_config(path)
+    cfg = PipelineConfig.from_flat_dict(read_key_values(path))
     assert cfg.seed == 42
     assert cfg.icp_bg.max_correspondence_distance == 0.5
     assert cfg.voxel_size == PipelineConfig().voxel_size
@@ -162,91 +163,42 @@ def test_config_file_partial_overrides(tmp_path):
 def test_config_unknown_key(tmp_path, key):
     path = tmp_path / "unknown.cfg"
     path.write_text(f"{key} = 3\n")
-    with pytest.raises(ParseError, match="unknown config key"):
-        read_config(path)
-
-
-def _sample_report(rng):
-    return RunReport(
-        config=PipelineConfig().to_flat_dict(),
-        extra={"command": "flow", "src": "a.rgf"},
-        flow_metrics=FlowMetrics(0.0123, 0.011, 0.98, 0.999, 0.001),
-        ego_metrics=EgoMetrics(rre=0.05, rte=0.002),
-        energy=EnergyBreakdown.from_terms(0.1, 0.2, 0.3, 0.4, 0.5),
-        clusters=[
-            ClusterSummary(size=120, transform=make_transform(rng), fitted=True, refined=True),
-            ClusterSummary(size=45, transform=make_transform(rng), fitted=True, refined=False),
-        ],
-        timings_ms={"infer": 12.5},
-    )
+    with pytest.raises(ValueError, match="unknown config key"):
+        PipelineConfig.from_flat_dict(read_key_values(path))
 
 
 def test_report_round_trip_lossless(tmp_path, rng):
-    report = _sample_report(rng)
-    text = serialize_report(report, include_timings=True)
-    again = serialize_report(parse_report(text), include_timings=True)
-    assert text == again
-    path = tmp_path / "report.txt"
-    write_report(path, report, include_timings=True)
-    back = read_report(path)
-    assert back.flow_metrics == report.flow_metrics
-    assert back.ego_metrics == report.ego_metrics
-    assert back.energy == report.energy
-    assert back.timings_ms == report.timings_ms
-    assert [c.size for c in back.clusters] == [120, 45]
-    np.testing.assert_array_equal(
-        back.clusters[0].transform.rotation, report.clusters[0].transform.rotation
-    )
-
-
-def test_report_omits_timings_by_default(rng):
-    report = _sample_report(rng)
-    text = serialize_report(report)
-    assert "timing." not in text
-    assert "flow.epe3d_mean" in text
-
-
-def test_report_key_order_is_pinned(rng):
-    # the report is a byte-compared artifact, so its key order is part of it
-    report = _sample_report(rng)
-    report.config = {"voxel_size": "0.1", "seed": "0"}
-    text = serialize_report(report, include_timings=True)
-    keys = [line.partition(" = ")[0] for line in text.splitlines()]
-    assert keys == [
-        "run.command",
-        "run.src",
-        "config.seed",
-        "config.voxel_size",
-        "flow.epe3d_mean",
-        "flow.epe3d_median",
-        "flow.acc3ds",
-        "flow.acc3dr",
-        "flow.outliers",
-        "ego.rre",
-        "ego.rte",
-        "energy.l_bg",
-        "energy.l_trans",
-        "energy.l_inlier",
-        "energy.l_ego",
-        "energy.l_rigid",
-        "energy.l_cd",
-        "energy.l_fg",
-        "energy.total",
-        "energy.lambda_inlier",
-        "energy.lambda_cd",
-        "cluster.count",
-        "cluster.0.size",
-        "cluster.0.fitted",
-        "cluster.0.refined",
-        "cluster.0.transform",
-        "cluster.1.size",
-        "cluster.1.fitted",
-        "cluster.1.refined",
-        "cluster.1.transform",
-        "timing.infer",
+    # a report is text pairs; reading it back gives the same text for each key
+    pairs = [
+        ("run.command", "flow"),
+        ("run.src", "dir with spaces/a=b.rgf"),
+        ("config.slack_d0", "none"),
+        ("flow.epe3d_mean", repr(0.1 + 0.2)),
+        ("cluster.0.transform", transform_to_text(make_transform(rng))),
+        ("timing.infer_ms", repr(12.5)),
     ]
+    text = format_key_values(pairs)
+    assert text.splitlines()[1] == "run.src = dir with spaces/a=b.rgf"
+    path = tmp_path / "report.txt"
+    path.write_text(text)
+    back = read_key_values(path)
+    assert list(back.items()) == pairs
+    assert format_key_values(back.items()) == text
+    assert float(back["flow.epe3d_mean"]) == 0.1 + 0.2
 
 
-def test_report_rejects_unknown_section():
-    with pytest.raises(ValueError):
-        parse_report("bogus.key = 1\n")
+def test_key_values_line_without_equals_reports_offset(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("# header\nseed = 1\nvoxel_size 0.2\n")
+    with pytest.raises(ParseError, match="expected 'key = value'") as err:
+        read_key_values(path)
+    assert err.value.offset == len("# header\nseed = 1\n")
+    assert "bad.cfg" in str(err.value)
+
+
+def test_key_values_non_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"seed = 1\nvoxel_size = \xff\n")
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        read_key_values(path)
+    assert err.value.offset == len(b"seed = 1\n")

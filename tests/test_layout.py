@@ -1,4 +1,4 @@
-"""The package's module import graph has no cycles."""
+"""The package's module import graph: no cycles, and `io` is a leaf above `geom`."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -20,14 +20,24 @@ def _relative_imports(path: Path) -> set:
     return found
 
 
-def test_module_imports_are_acyclic():
-    graph = {
+def _import_graph() -> dict:
+    return {
         path.stem: _relative_imports(path) - {"__init__"}
         for path in PACKAGE.glob("*.py")
         if path.stem != "__init__"
     }
+
+
+def test_module_imports_are_acyclic():
+    graph = _import_graph()
     assert {"pipeline", "refine", "io", "cli"} <= graph.keys()
     try:
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+
+
+def test_io_imports_only_geom():
+    # file formats move text and arrays; what a config or a report means is
+    # decided by the pipeline and the CLI, which import io, not the reverse
+    assert _import_graph()["io"] == {"geom"}
