@@ -2,7 +2,8 @@
 scenes), and `eval` (score flow/ego estimates).
 
 Exit codes: 0 on success, 2 on usage or input errors (missing/unparsable
-files, invalid scene specs, mismatched lengths), 3 on numerical failures
+files, invalid config values or scene specs, mismatched lengths, output
+paths that cannot be written), 3 on numerical failures
 inside the pipeline (degenerate geometry, no background, ...).
 """
 
@@ -16,7 +17,6 @@ import time
 
 import numpy as np
 
-from .energy import total_energy
 from .geom import FlowField, PointCloud
 from .io import (
     ParseError,
@@ -70,14 +70,20 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _read_config(path: str | None, seed: int | None) -> PipelineConfig:
-    """The config file's values over the defaults, then `--seed` over both."""
-    flat = read_key_values(path) if path else {}
-    if seed is not None:
-        flat["seed"] = str(seed)
+    """The config file's values over the defaults, then `--seed` over both.
+
+    A bad value is reported against where it came from: the file or `--seed`.
+    """
     try:
-        return PipelineConfig.from_flat_dict(flat)
+        cfg = PipelineConfig.from_flat_dict(read_key_values(path) if path else {})
     except ValueError as exc:
         raise ParseError(path, 0, str(exc)) from exc
+    if seed is None:
+        return cfg
+    try:
+        return dataclasses.replace(cfg, seed=seed)
+    except ValueError as exc:
+        raise _InputError(f"--seed {seed}: {exc}") from exc
 
 
 def _load_cloud(path: str) -> PointCloud:
@@ -166,29 +172,11 @@ def cmd_flow(args: argparse.Namespace) -> int:
     if x.flow is not None:
         pairs += _field_pairs("flow", flow_metrics(flow, FlowField(x.flow)))
 
-    try:
-        if args.gt_ego:
-            gt_ego = read_transform(args.gt_ego)
-            pairs += _field_pairs("ego", ego_metrics(decomp.ego, gt_ego))
-            if args.masks == "oracle" and x.fg_prob is not None and y.fg_prob is not None:
-                fg_index = np.flatnonzero(~decomp.bg_mask_x)
-                energy = total_energy(
-                    pred_fg_x=x.fg_prob,
-                    gt_fg_x=(x.fg_prob > 0.5).astype(float),
-                    pred_fg_y=y.fg_prob,
-                    gt_fg_y=(y.fg_prob > 0.5).astype(float),
-                    bg_points=decomp.voxel_x.select(decomp.bg_mask_x),
-                    ego_est=decomp.ego,
-                    ego_gt=gt_ego,
-                    assignment=decomp.assignment,
-                    clusters=decomp.clusters,
-                    fg_points=decomp.voxel_x.select(fg_index),
-                    fg_flow=decomp.unconstrained_flow,
-                    fg_y=decomp.voxel_y.select(~decomp.bg_mask_y),
-                )
-                pairs += _field_pairs("energy", energy)
-    except (ParseError, OSError) as exc:
-        return _fail(str(exc), 2)
+    if args.gt_ego:
+        try:
+            pairs += _field_pairs("ego", ego_metrics(decomp.ego, read_transform(args.gt_ego)))
+        except (ParseError, OSError) as exc:
+            return _fail(str(exc), 2)
 
     pairs.append(("cluster.count", str(decomp.clusters.n_clusters)))
     for k in range(decomp.clusters.n_clusters):
@@ -199,16 +187,18 @@ def cmd_flow(args: argparse.Namespace) -> int:
             (f"cluster.{k}.transform", transform_to_text(decomp.cluster_transforms[k])),
         ]
 
-    t0 = time.perf_counter()
-    out_cloud = PointCloud(points=x.points, flow=flow.vectors)
-    write_point_cloud(args.out_flow, out_cloud)
-    if args.out_ego:
-        write_transform(args.out_ego, decomp.ego)
-    timings["write_ms"] = 1e3 * (time.perf_counter() - t0)
+    try:
+        t0 = time.perf_counter()
+        write_point_cloud(args.out_flow, PointCloud(points=x.points, flow=flow.vectors))
+        if args.out_ego:
+            write_transform(args.out_ego, decomp.ego)
+        timings["write_ms"] = 1e3 * (time.perf_counter() - t0)
 
-    if args.timings:
-        pairs += _sorted_pairs("timing", {key: repr(ms) for key, ms in timings.items()})
-    _emit(format_key_values(pairs), args.report)
+        if args.timings:
+            pairs += _sorted_pairs("timing", {key: repr(ms) for key, ms in timings.items()})
+        _emit(format_key_values(pairs), args.report)
+    except OSError as exc:
+        return _fail(str(exc), 2)
     return 0
 
 

@@ -13,7 +13,6 @@ __all__ = [
     "EgoMetrics",
     "flow_metrics",
     "ego_metrics",
-    "segmentation_counts",
 ]
 
 
@@ -71,29 +70,3 @@ def ego_metrics(est: RigidTransform, gt: RigidTransform) -> EgoMetrics:
     rte = float(np.linalg.norm(gt.translation - est.translation))
     return EgoMetrics(rre=rre, rte=rte)
 
-
-def segmentation_counts(pred_fg: np.ndarray, gt_fg: np.ndarray) -> dict:
-    """Precision/recall of a binary FG/BG split, for both classes.
-
-    Classes with no predicted (precision) or no true (recall) members report
-    0.0 for the undefined ratio.
-    """
-    pred = np.asarray(pred_fg, dtype=bool)
-    gt = np.asarray(gt_fg, dtype=bool)
-    if pred.shape != gt.shape:
-        raise ValueError("mask lengths differ")
-
-    def prec_rec(p, g):
-        tp = np.count_nonzero(p & g)
-        precision = tp / p.sum() if p.any() else 0.0
-        recall = tp / g.sum() if g.any() else 0.0
-        return float(precision), float(recall)
-
-    fg_precision, fg_recall = prec_rec(pred, gt)
-    bg_precision, bg_recall = prec_rec(~pred, ~gt)
-    return {
-        "fg_precision": fg_precision,
-        "fg_recall": fg_recall,
-        "bg_precision": bg_precision,
-        "bg_recall": bg_recall,
-    }

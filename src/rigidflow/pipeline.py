@@ -38,7 +38,6 @@ from .geom import (
 )
 from .refine import IcpConfig, refine_clusters, refine_ego
 from .rigidfit import estimate_ego_motion, fit_cluster_transform
-from .transport import AssignmentMatrix
 
 __all__ = [
     "PipelineConfig",
@@ -152,6 +151,8 @@ class PipelineConfig:
             raise ValueError("interp_k must be at least 1")
         if self.slack_d0 is not None and self.slack_d0 <= 0:
             raise ValueError("slack_d0 must be positive when set")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     @property
     def resolved_slack_d0(self) -> float:
@@ -196,6 +197,8 @@ class SceneDecomposition:
     when `cluster_fitted[k]` is False, in which case the cluster falls back
     to the unconstrained flow during assembly). `voxel_flow` is the
     assembled per-voxel rigid flow, None until `assemble_rigid_flow` has run.
+    It holds results, not intermediates: the ego's soft assignment is freed
+    inside `estimate_ego_motion`.
     """
 
     bg_mask_x: np.ndarray
@@ -209,7 +212,6 @@ class SceneDecomposition:
     voxel_x: PointCloud
     voxel_y: PointCloud
     unconstrained_flow: FlowField
-    assignment: AssignmentMatrix
     voxel_flow: FlowField | None = None
 
     def __post_init__(self):
@@ -287,11 +289,11 @@ def _background(
     cfg: PipelineConfig,
     refine: bool,
     rng: np.random.Generator,
-) -> tuple[RigidTransform, AssignmentMatrix, bool]:
+) -> tuple[RigidTransform, bool]:
     """Ego-motion from the background voxels, ICP-refined when `refine`."""
     # The selections are temporaries, so estimate_ego_motion can drop them
     # once it has drawn its samples.
-    ego, assignment = estimate_ego_motion(
+    ego = estimate_ego_motion(
         vx.select(bg_mask_x),
         vy.select(bg_mask_y),
         tau=cfg.tau_ego,
@@ -306,7 +308,7 @@ def _background(
         ego, ego_refined = refine_ego(
             PointCloud(vx.points[bg_mask_x]), PointCloud(vy.points[bg_mask_y]), ego, cfg.icp_bg
         )
-    return ego, assignment, ego_refined
+    return ego, ego_refined
 
 
 def _foreground(
@@ -408,7 +410,7 @@ def infer_rigid_flow(
             # Precedence as if the background ran first: its error wins.
             background.result()
             raise
-        ego, assignment, ego_refined = background.result()
+        ego, ego_refined = background.result()
     clusters, unconstrained, transforms, fitted, refined = foreground
 
     decomp = SceneDecomposition(
@@ -423,7 +425,6 @@ def infer_rigid_flow(
         voxel_x=vx,
         voxel_y=vy,
         unconstrained_flow=unconstrained,
-        assignment=assignment,
     )
     decomp = dataclasses.replace(decomp, voxel_flow=assemble_rigid_flow(decomp))
 

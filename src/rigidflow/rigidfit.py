@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import FlowField, PointCloud, RigidTransform
-from .transport import AssignmentMatrix, soft_assignment, soft_correspondences
+from .transport import soft_assignment, soft_correspondences
 
 __all__ = [
     "WeightedCorrespondenceSet",
@@ -99,7 +99,7 @@ def estimate_ego_motion(
     slack_d0: float | None = None,
     iterations: int = 3,
     rng: np.random.Generator | None = None,
-) -> tuple[RigidTransform, AssignmentMatrix]:
+) -> RigidTransform:
     """Rigid motion mapping the source background onto the target background.
 
     Samples up to `n_sample` points per side without replacement (all points
@@ -109,8 +109,8 @@ def estimate_ego_motion(
     sweeps, and fits a weighted Kabsch on the soft
     correspondences, weighting each row by the mass it kept from slack.
 
-    Returns the fitted transform together with the normalized assignment
-    matrix (useful for inlier diagnostics).
+    Returns the fitted transform; the (N+1) x (M+1) assignment it was fitted
+    from is freed on return.
     """
     if bg_x.features is None or bg_y.features is None:
         raise ValueError("both clouds need feature attributes")
@@ -131,10 +131,9 @@ def estimate_ego_motion(
         sample_x.features, sample_y.features, tau, slack_logit=-slack_d0 / tau, iterations=iterations
     )
     matched, weights = soft_correspondences(assignment, sample_y, source=sample_x)
-    transform = weighted_kabsch(
+    return weighted_kabsch(
         WeightedCorrespondenceSet(source=sample_x, target=matched, weights=weights)
     )
-    return transform, assignment
 
 
 def fit_cluster_transform(points: PointCloud, flow: FlowField) -> RigidTransform:

@@ -74,7 +74,6 @@ def test_flow_end_to_end_oracle_features(tmp_path, capsys):
     report = read_key_values(report_path)
     assert float(report["flow.epe3d_mean"]) < 1e-3
     assert float(report["ego.rre"]) < 0.1
-    assert float(report["energy.l_bg"]) <= 1e-6
     assert report["cluster.count"] == "3"
     pred = read_point_cloud(out_flow)
     assert pred.flow is not None and len(pred) > 0
@@ -143,6 +142,7 @@ def test_flow_config_unknown_key_exits_2(tmp_path, capsys, key):
         ("tau_ego = nan", "tau_ego"),
         ("fg_threshold = 1.5", "fg_threshold"),
         ("icp_fg.max_iterations = 0", "max_iterations"),
+        ("seed = -1", "seed"),
     ],
 )
 def test_flow_config_invalid_value_exits_2(tmp_path, capsys, line, name):
@@ -160,6 +160,55 @@ def test_flow_config_invalid_value_exits_2(tmp_path, capsys, line, name):
     err = capsys.readouterr().err
     assert "bad.cfg" in err and name in err
     assert not out_flow.exists()
+
+
+def test_flow_negative_seed_flag_exits_2_naming_the_flag(tmp_path, capsys):
+    prefix = synth(tmp_path)
+    out_flow = tmp_path / "pred.rgf"
+    rc = main(
+        [
+            "flow", "--src", f"{prefix}_x.rgf", "--tgt", f"{prefix}_y.rgf",
+            "--seed", "-1", "--out-flow", str(out_flow),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--seed -1" in err and "None" not in err
+    assert not out_flow.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out-flow", "--out-ego", "--report"])
+def test_flow_unwritable_output_exits_2_naming_path(tmp_path, capsys, flag):
+    prefix = synth(tmp_path)
+    args = [
+        "flow", "--src", f"{prefix}_x.rgf", "--tgt", f"{prefix}_y.rgf",
+        "--out-flow", str(tmp_path / "pred.rgf"),
+    ]
+    unwritable = str(tmp_path / "missing_dir" / "out")
+    rc = main(args + [flag, unwritable])
+    assert rc == 2
+    assert unwritable in capsys.readouterr().err
+
+
+def test_flow_gt_ego_adds_only_the_ego_lines(tmp_path):
+    # the ground-truth ego is scored, nothing else: no training-loss block
+    prefix = synth(tmp_path)
+    lines = {}
+    for name, extra in (("plain", []), ("gt", ["--gt-ego", f"{prefix}_ego.txt"])):
+        report = tmp_path / f"{name}.txt"
+        rc = main(
+            [
+                "flow", "--src", f"{prefix}_x.rgf", "--tgt", f"{prefix}_y.rgf",
+                "--refine", "--seed", "7", "--out-flow", str(tmp_path / f"{name}.rgf"),
+                "--report", str(report), *extra,
+            ]
+        )
+        assert rc == 0
+        lines[name] = report.read_text().splitlines()
+    at = lines["plain"].index("cluster.count = 3")
+    keys = [line.split(" = ")[0] for line in lines["gt"][at : at + 2]]
+    assert keys == ["ego.rre", "ego.rte"]
+    assert lines["gt"][:at] + lines["gt"][at + 2 :] == lines["plain"]
 
 
 def test_flow_non_finite_text_cloud_exits_2(tmp_path, capsys):

@@ -3,13 +3,11 @@ import pytest
 
 from rigidflow.cluster import ClusterLabeling
 from rigidflow.energy import (
-    EnergyBreakdown,
     bce_mask_loss,
     chamfer_loss,
     ego_translation_loss,
     inlier_loss,
     rigidity_loss,
-    total_energy,
 )
 from rigidflow.geom import FlowField, PointCloud, RigidTransform, apply_transform
 from rigidflow.rigidfit import fit_cluster_transform
@@ -238,61 +236,3 @@ def test_chamfer_empty_errors():
     with pytest.raises(ValueError, match="empty foreground"):
         chamfer_loss(PointCloud(np.empty((0, 3))), PointCloud([[0.0, 0.0, 0.0]]))
 
-
-def test_chamfer_normalized_variant(rng):
-    a = rng.normal(size=(10, 3))
-    b = rng.normal(size=(20, 3))
-    raw = chamfer_loss(PointCloud(a), PointCloud(b))
-    norm = chamfer_loss(PointCloud(a), PointCloud(b), normalized=True)
-    assert norm < raw  # means instead of sums
-
-
-# -------------------------------------------------------------- total energy
-
-
-def test_breakdown_weight_arithmetic():
-    b = EnergyBreakdown.from_terms(l_bg=0.0, l_trans=1.0, l_inlier=2.0, l_rigid=0.0, l_cd=0.0)
-    assert b.l_ego == pytest.approx(1.01)
-    b2 = EnergyBreakdown.from_terms(l_bg=0.0, l_trans=0.0, l_inlier=0.0, l_rigid=1.0, l_cd=2.0)
-    assert b2.l_fg == pytest.approx(2.0)
-
-
-def test_breakdown_invariants(rng):
-    b = EnergyBreakdown.from_terms(
-        l_bg=rng.uniform(), l_trans=rng.uniform(), l_inlier=rng.uniform(),
-        l_rigid=rng.uniform(), l_cd=rng.uniform(),
-    )
-    assert b.l_ego == b.l_trans + b.lambda_inlier * b.l_inlier
-    assert b.l_fg == b.l_rigid + b.lambda_cd * b.l_cd
-    assert b.total == b.l_bg + b.l_ego + b.l_fg
-
-
-def test_total_energy_perfect_predictions(rng):
-    # perfect masks, exact ego, exactly rigid flow: every term tiny except
-    # chamfer, which is bounded by nearest-neighbor distances of the sampling
-    fg_points = PointCloud(rng.normal(size=(30, 3)) + 5.0)
-    t_obj = make_transform(rng, max_angle_deg=10.0, max_translation=0.5)
-    flow = apply_transform(t_obj, fg_points).points - fg_points.points
-    labeling = ClusterLabeling(labels=np.zeros(30, dtype=int), cluster_sizes=np.array([30]))
-    bg = PointCloud(rng.normal(size=(50, 3)))
-    ego = make_transform(rng, max_angle_deg=3.0, max_translation=0.5)
-    n = 10
-    perm_assignment = np.zeros((n + 1, n + 1))
-    perm_assignment[np.arange(n), np.arange(n)] = 1.0
-    gt_fg_x = np.concatenate([np.ones(30), np.zeros(50)])
-    pred_x = np.clip(gt_fg_x, 1e-7, 1 - 1e-7)
-    fg_y = PointCloud(fg_points.points + flow)
-    out = total_energy(
-        pred_fg_x=pred_x, gt_fg_x=gt_fg_x,
-        pred_fg_y=pred_x, gt_fg_y=gt_fg_x,
-        bg_points=bg, ego_est=ego, ego_gt=ego,
-        assignment=AssignmentMatrix(perm_assignment, n, n),
-        clusters=labeling, fg_points=fg_points, fg_flow=FlowField(flow),
-        fg_y=fg_y,
-    )
-    assert out.l_bg <= 1e-6
-    assert out.l_trans <= 1e-10
-    assert out.l_inlier <= 1e-10
-    assert out.l_rigid <= 1e-10
-    assert out.l_cd <= 1e-9  # warped source equals target here
-    assert out.total == pytest.approx(out.l_bg + out.l_ego + out.l_fg)

@@ -246,18 +246,6 @@ FLOW_RUN_AND_CONFIG_KEYS = [
 ]
 FLOW_KEYS = ["flow.epe3d_mean", "flow.epe3d_median", "flow.acc3ds", "flow.acc3dr", "flow.outliers"]
 EGO_KEYS = ["ego.rre", "ego.rte"]
-ENERGY_KEYS = [
-    "energy.l_bg",
-    "energy.l_trans",
-    "energy.l_inlier",
-    "energy.l_ego",
-    "energy.l_rigid",
-    "energy.l_cd",
-    "energy.l_fg",
-    "energy.total",
-    "energy.lambda_inlier",
-    "energy.lambda_cd",
-]
 CLUSTER_KEYS = ["cluster.count"] + [
     f"cluster.{k}.{name}" for k in range(3) for name in ("size", "fitted", "refined", "transform")
 ]
@@ -290,7 +278,7 @@ def test_report_key_order_is_pinned(tmp_path, capsys):
     # reports are byte-compared artifacts, so their key order is part of them
     prefix = str(tmp_path / "scene")
     flow_args = _flow_args(tmp_path, capsys)
-    expected = FLOW_RUN_AND_CONFIG_KEYS + FLOW_KEYS + EGO_KEYS + ENERGY_KEYS + CLUSTER_KEYS
+    expected = FLOW_RUN_AND_CONFIG_KEYS + FLOW_KEYS + EGO_KEYS + CLUSTER_KEYS
 
     assert main(flow_args) == 0
     assert _report_keys(capsys.readouterr().out) == expected

@@ -1,4 +1,5 @@
-"""The package's module import graph: no cycles, and `io` is a leaf above `geom`."""
+"""The package's module import graph: no cycles, `io` is a leaf above `geom`,
+and `energy` is a leaf that no other module imports."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -41,3 +42,9 @@ def test_io_imports_only_geom():
     # file formats move text and arrays; what a config or a report means is
     # decided by the pipeline and the CLI, which import io, not the reverse
     assert _import_graph()["io"] == {"geom"}
+
+
+def test_no_package_module_imports_energy():
+    # the objective terms are training losses; inference and the CLI read
+    # none of them, and only the package root re-exports them for demos
+    assert [name for name, deps in _import_graph().items() if "energy" in deps] == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rigidflow.geom import FlowField, RigidTransform, rotation_about_axis
-from rigidflow.metrics import ego_metrics, flow_metrics, segmentation_counts
+from rigidflow.metrics import ego_metrics, flow_metrics
 
 from conftest import make_transform
 
@@ -120,12 +120,3 @@ def test_ego_metrics_matches_quaternion_oracle(rng):
             np.linalg.norm(gt.translation - est.translation), abs=1e-12
         )
 
-
-def test_segmentation_counts(rng):
-    gt = np.array([1, 1, 0, 0, 1, 0], dtype=bool)
-    pred = np.array([1, 0, 0, 1, 1, 0], dtype=bool)
-    out = segmentation_counts(pred, gt)
-    assert out["fg_precision"] == pytest.approx(2 / 3)
-    assert out["fg_recall"] == pytest.approx(2 / 3)
-    assert out["bg_precision"] == pytest.approx(2 / 3)
-    assert out["bg_recall"] == pytest.approx(2 / 3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rigidflow import rigidfit
 from rigidflow.geom import FlowField, PointCloud, apply_transform
 from rigidflow.rigidfit import (
     WeightedCorrespondenceSet,
@@ -145,18 +146,34 @@ def _orthogonal_featured_cloud(rng, n):
     return PointCloud(pts, features=np.eye(n))
 
 
+def _spy_on_assignment(monkeypatch):
+    """Record every assignment `estimate_ego_motion` builds; it returns none."""
+    seen = []
+
+    original = rigidfit.soft_assignment
+
+    def spy(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(rigidfit, "soft_assignment", spy)
+    return seen
+
+
 def test_ego_motion_identity_for_identical_clouds(rng):
     cloud = _orthogonal_featured_cloud(rng, 400)
-    t, _ = estimate_ego_motion(cloud, cloud, rng=np.random.default_rng(0))
+    t = estimate_ego_motion(cloud, cloud, rng=np.random.default_rng(0))
     np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-6)
     np.testing.assert_allclose(t.translation, np.zeros(3), atol=1e-6)
 
 
-def test_ego_motion_recovers_transform_with_oracle_features(rng):
+def test_ego_motion_recovers_transform_with_oracle_features(rng, monkeypatch):
     cloud = _orthogonal_featured_cloud(rng, 600)
     t_gt = make_transform(rng, max_angle_deg=10.0, max_translation=2.0)
     moved = apply_transform(t_gt, cloud)
-    est, assignment = estimate_ego_motion(cloud, moved, rng=np.random.default_rng(1))
+    seen = _spy_on_assignment(monkeypatch)
+    est = estimate_ego_motion(cloud, moved, rng=np.random.default_rng(1))
+    (assignment,) = seen
     np.testing.assert_allclose(est.rotation, t_gt.rotation, atol=1e-6)
     np.testing.assert_allclose(est.translation, t_gt.translation, atol=1e-6)
     # real-row mass stays near 1: little probability lost to slack
@@ -176,7 +193,7 @@ def test_ego_motion_with_occlusion_outliers(rng):
     fresh = rng.normal(size=(len(occluded), 16))
     src_feats[occluded] = fresh / np.linalg.norm(fresh, axis=1, keepdims=True)
     src = PointCloud(src.points, features=src_feats)
-    est, _ = estimate_ego_motion(src, tgt, rng=np.random.default_rng(2))
+    est = estimate_ego_motion(src, tgt, rng=np.random.default_rng(2))
     angle = np.degrees(
         np.arccos(np.clip((np.trace(t_gt.rotation.T @ est.rotation) - 1) / 2, -1, 1))
     )
@@ -190,12 +207,14 @@ def test_ego_motion_requires_features(rng):
         estimate_ego_motion(bare, bare)
 
 
-def test_ego_motion_uses_all_points_when_sample_exceeds(rng):
+def test_ego_motion_uses_all_points_when_sample_exceeds(rng, monkeypatch):
     cloud = _featured_cloud(rng, n=50)
     t_gt = make_transform(rng, max_angle_deg=5.0, max_translation=0.5)
-    est, assignment = estimate_ego_motion(
+    seen = _spy_on_assignment(monkeypatch)
+    est = estimate_ego_motion(
         cloud, apply_transform(t_gt, cloud), n_sample=1024, rng=np.random.default_rng(3)
     )
+    (assignment,) = seen
     assert assignment.n_rows == 50
     np.testing.assert_allclose(est.rotation, t_gt.rotation, atol=1e-6)
 
