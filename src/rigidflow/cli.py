@@ -2,8 +2,8 @@
 scenes), and `eval` (score flow/ego estimates).
 
 Exit codes: 0 on success, 2 on usage or input errors (missing/unparsable
-files, invalid config values or scene specs, mismatched lengths, output
-paths that cannot be written), 3 on numerical failures
+files, invalid config values or scene specs, mismatched lengths or feature
+widths, output paths that cannot be written), 3 on numerical failures
 inside the pipeline (degenerate geometry, no background, ...).
 """
 
@@ -69,6 +69,16 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _with_seed(spec, seed: int | None):
+    """`spec` (a config or scene spec) with `--seed` over its seed; a bad value names the flag."""
+    if seed is None:
+        return spec
+    try:
+        return dataclasses.replace(spec, seed=seed)
+    except ValueError as exc:
+        raise _InputError(f"--seed {seed}: {exc}") from exc
+
+
 def _read_config(path: str | None, seed: int | None) -> PipelineConfig:
     """The config file's values over the defaults, then `--seed` over both.
 
@@ -78,12 +88,7 @@ def _read_config(path: str | None, seed: int | None) -> PipelineConfig:
         cfg = PipelineConfig.from_flat_dict(read_key_values(path) if path else {})
     except ValueError as exc:
         raise ParseError(path, 0, str(exc)) from exc
-    if seed is None:
-        return cfg
-    try:
-        return dataclasses.replace(cfg, seed=seed)
-    except ValueError as exc:
-        raise _InputError(f"--seed {seed}: {exc}") from exc
+    return _with_seed(cfg, seed)
 
 
 def _load_cloud(path: str) -> PointCloud:
@@ -92,38 +97,25 @@ def _load_cloud(path: str) -> PointCloud:
     return read_point_cloud_any(path)
 
 
-def _attach_features(pc: PointCloud, mode: str, path: str | None, side: str) -> PointCloud:
+def _attach(args, pc: PointCloud, side: str, name: str, flag: str, derive) -> PointCloud:
+    """`pc` with attribute `name` as `--{flag}` provides it: embedded (oracle),
+    from the `--{side}-{flag}` cloud file (file), or computed by `derive`."""
+    mode = getattr(args, flag)
     if mode == "oracle":
-        if pc.features is None:
+        if getattr(pc, name) is None:
             raise _InputError(
-                f"{side} cloud has no embedded features; --features oracle needs generated scenes"
+                f"{side} cloud has no embedded {name}; --{flag} oracle needs generated scenes"
             )
         return pc
-    if mode == "xyz":
-        return with_xyz_features(pc)
+    if mode != "file":
+        return derive(pc)
+    path = getattr(args, f"{side}_{flag}")
     if path is None:
-        raise _InputError(f"--features file requires --{side}-features")
+        raise _InputError(f"--{flag} file requires --{side}-{flag}")
     donor = _load_cloud(path)
-    if donor.features is None or len(donor) != len(pc):
-        raise _InputError(f"feature file {path} does not match the {side} cloud")
-    return dataclasses.replace(pc, features=donor.features)
-
-
-def _attach_masks(pc: PointCloud, mode: str, path: str | None, height: float, side: str) -> PointCloud:
-    if mode == "oracle":
-        if pc.fg_prob is None:
-            raise _InputError(
-                f"{side} cloud has no embedded fg_prob; --masks oracle needs generated scenes"
-            )
-        return pc
-    if mode == "height":
-        return with_height_mask(pc, height)
-    if path is None:
-        raise _InputError(f"--masks file requires --{side}-masks")
-    donor = _load_cloud(path)
-    if donor.fg_prob is None or len(donor) != len(pc):
-        raise _InputError(f"mask file {path} does not match the {side} cloud")
-    return dataclasses.replace(pc, fg_prob=donor.fg_prob)
+    if getattr(donor, name) is None or len(donor) != len(pc):
+        raise _InputError(f"{flag[:-1]} file {path} does not match the {side} cloud")
+    return dataclasses.replace(pc, **{name: getattr(donor, name)})
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
@@ -134,10 +126,20 @@ def cmd_flow(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         src = _load_cloud(args.src)
         tgt = _load_cloud(args.tgt)
-        src = _attach_features(src, args.features, args.src_features, "src")
-        tgt = _attach_features(tgt, args.features, args.tgt_features, "tgt")
-        src = _attach_masks(src, args.masks, args.src_masks, args.mask_height, "src")
-        tgt = _attach_masks(tgt, args.masks, args.tgt_masks, args.mask_height, "tgt")
+        src = _attach(args, src, "src", "features", "features", with_xyz_features)
+        tgt = _attach(args, tgt, "tgt", "features", "features", with_xyz_features)
+        height_mask = lambda pc: with_height_mask(pc, args.mask_height)
+        src = _attach(args, src, "src", "fg_prob", "masks", height_mask)
+        tgt = _attach(args, tgt, "tgt", "fg_prob", "masks", height_mask)
+        if src.features.shape[1] != tgt.features.shape[1]:
+            files = (args.src, args.tgt)
+            if args.features == "file":
+                files = (args.src_features, args.tgt_features)
+            raise _InputError(
+                f"feature widths differ: {files[0]} has D = {src.features.shape[1]}, "
+                f"{files[1]} has D = {tgt.features.shape[1]}"
+            )
+        gt_ego = read_transform(args.gt_ego) if args.gt_ego else None
         timings["read_ms"] = 1e3 * (time.perf_counter() - t0)
     except (ParseError, _InputError, OSError) as exc:
         return _fail(str(exc), 2)
@@ -172,11 +174,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
     if x.flow is not None:
         pairs += _field_pairs("flow", flow_metrics(flow, FlowField(x.flow)))
 
-    if args.gt_ego:
-        try:
-            pairs += _field_pairs("ego", ego_metrics(decomp.ego, read_transform(args.gt_ego)))
-        except (ParseError, OSError) as exc:
-            return _fail(str(exc), 2)
+    if gt_ego is not None:
+        pairs += _field_pairs("ego", ego_metrics(decomp.ego, gt_ego))
 
     pairs.append(("cluster.count", str(decomp.clusters.n_clusters)))
     for k in range(decomp.clusters.n_clusters):
@@ -203,24 +202,23 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = SceneSpec(
-        n_objects=args.objects,
-        points_per_object=args.points_per_object,
-        background_points=args.background_points,
-        background_extent=args.extent,
-        ego_rotation_deg=args.ego_rotation_deg,
-        ego_translation=args.ego_translation,
-        object_rotation_deg=args.object_rotation_deg,
-        object_translation=args.object_translation,
-        noise_sigma=args.noise_sigma,
-        dropout=args.dropout,
-        feature_dim=args.feature_dim,
-        min_object_gap=args.gap,
-        seed=args.seed if args.seed is not None else 0,
-    )
     try:
-        scene = generate_scene(spec)
-    except ValueError as exc:
+        spec = SceneSpec(
+            n_objects=args.objects,
+            points_per_object=args.points_per_object,
+            background_points=args.background_points,
+            background_extent=args.extent,
+            ego_rotation_deg=args.ego_rotation_deg,
+            ego_translation=args.ego_translation,
+            object_rotation_deg=args.object_rotation_deg,
+            object_translation=args.object_translation,
+            noise_sigma=args.noise_sigma,
+            dropout=args.dropout,
+            feature_dim=args.feature_dim,
+            min_object_gap=args.gap,
+        )
+        scene = generate_scene(_with_seed(spec, args.seed))
+    except (ValueError, _InputError) as exc:
         return _fail(str(exc), 2)
 
     prefix = args.out_prefix

@@ -5,6 +5,10 @@ dataclasses wrapping numpy arrays; callers must not mutate the arrays after
 construction. That is what lets a `PointCloud` cache its KD-tree
 (`PointCloud.kdtree`, built on first use): `select`, `dataclasses.replace`
 and `apply_transform` return new clouds, so a cached tree is never stale.
+
+The set of optional per-point attributes lives here, in `PointCloud`'s
+fields and the `POINT_ATTRIBUTES` table; `select`, `voxelize` and the RGF
+reader and writer in `io` iterate that table.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 __all__ = [
+    "POINT_ATTRIBUTES",
     "PointCloud",
     "RigidTransform",
     "VoxelGrid",
@@ -29,6 +34,16 @@ __all__ = [
     "transfer_flow_to_points",
     "rotation_about_axis",
 ]
+
+
+# PointCloud's optional attributes in field order: name -> (dtype, shape of
+# one point's value), where None is a width D that each cloud chooses.
+POINT_ATTRIBUTES = {
+    "features": (np.dtype(np.float64), (None,)),
+    "fg_prob": (np.dtype(np.float64), ()),
+    "cluster_id": (np.dtype(np.int64), ()),
+    "flow": (np.dtype(np.float64), (3,)),
+}
 
 
 @dataclass(frozen=True)
@@ -62,34 +77,21 @@ class PointCloud:
             raise ValueError("points contain non-finite coordinates")
         object.__setattr__(self, "points", pts)
         n = len(pts)
-        if self.features is not None:
-            f = np.asarray(self.features, dtype=np.float64)
-            if f.ndim != 2 or f.shape[0] != n:
-                raise ValueError(f"features must have shape ({n}, D), got {f.shape}")
-            if not np.all(np.isfinite(f)):
-                raise ValueError("features contain non-finite values")
-            object.__setattr__(self, "features", f)
-        if self.fg_prob is not None:
-            p = np.asarray(self.fg_prob, dtype=np.float64)
-            if p.shape != (n,):
-                raise ValueError(f"fg_prob must have shape ({n},), got {p.shape}")
-            if not np.all(np.isfinite(p)):
-                raise ValueError("fg_prob contains non-finite values")
-            if np.any((p < 0) | (p > 1)):
-                raise ValueError("fg_prob values must lie in [0, 1]")
-            object.__setattr__(self, "fg_prob", p)
-        if self.cluster_id is not None:
-            c = np.asarray(self.cluster_id, dtype=np.int64)
-            if c.shape != (n,):
-                raise ValueError(f"cluster_id must have shape ({n},), got {c.shape}")
-            object.__setattr__(self, "cluster_id", c)
-        if self.flow is not None:
-            v = np.asarray(self.flow, dtype=np.float64)
-            if v.shape != (n, 3):
-                raise ValueError(f"flow must have shape ({n}, 3), got {v.shape}")
-            if not np.all(np.isfinite(v)):
-                raise ValueError("flow contains non-finite values")
-            object.__setattr__(self, "flow", v)
+        for name, (dtype, shape) in POINT_ATTRIBUTES.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            a = np.asarray(value, dtype=dtype)
+            want = (n, *shape)
+            if a.ndim != len(want) or any(w not in (None, got) for w, got in zip(want, a.shape)):
+                dims = ", ".join("D" if w is None else str(w) for w in want) + "," * (not shape)
+                raise ValueError(f"{name} must have shape ({dims}), got {a.shape}")
+            if a.dtype.kind == "f" and not np.all(np.isfinite(a)):
+                verb = "contain" if name.endswith("s") else "contains"  # "features" is plural
+                raise ValueError(f"{name} {verb} non-finite values")
+            object.__setattr__(self, name, a)
+        if self.fg_prob is not None and np.any((self.fg_prob < 0) | (self.fg_prob > 1)):
+            raise ValueError("fg_prob values must lie in [0, 1]")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -101,14 +103,9 @@ class PointCloud:
 
     def select(self, index) -> "PointCloud":
         """Return the sub-cloud at `index` (any numpy row index), attributes included."""
-        pick = lambda a: None if a is None else a[index]
-        return PointCloud(
-            points=self.points[index],
-            features=pick(self.features),
-            fg_prob=pick(self.fg_prob),
-            cluster_id=pick(self.cluster_id),
-            flow=pick(self.flow),
-        )
+        attrs = {name: getattr(self, name) for name in POINT_ATTRIBUTES}
+        picked = {name: a[index] for name, a in attrs.items() if a is not None}
+        return PointCloud(self.points[index], **picked)
 
 
 @dataclass(frozen=True)
@@ -232,10 +229,11 @@ def voxelize(
     """Bucket points into a uniform grid and average each occupied cell.
 
     Cell coordinates are floor(p / voxel_size) per axis. The representative
-    of a cell is the centroid of its points; `features`, `fg_prob` and `flow`
-    attributes are averaged alongside, while `cluster_id` is dropped (labels
-    cannot be meaningfully averaged). If more than `max_voxels` cells are
-    occupied, a uniform random subset of cells is kept (seeded via `rng`).
+    of a cell is the centroid of its points; float attributes (`features`,
+    `fg_prob`, `flow`) are averaged alongside, while integer ones
+    (`cluster_id`) are dropped (labels cannot be meaningfully averaged). If
+    more than `max_voxels` cells are occupied, a uniform random subset of
+    cells is kept (seeded via `rng`).
 
     Each attribute is averaged by one sparse product with a cells x points
     0/1 matrix whose rows list their points in ascending point order, so
@@ -282,12 +280,12 @@ def voxelize(
     def cell_mean(values: np.ndarray) -> np.ndarray:
         return (agg @ values) / counts.reshape((-1,) + (1,) * (values.ndim - 1))
 
-    centers = PointCloud(
-        points=cell_mean(pc.points),
-        features=None if pc.features is None else cell_mean(pc.features),
-        fg_prob=None if pc.fg_prob is None else cell_mean(pc.fg_prob),
-        flow=None if pc.flow is None else cell_mean(pc.flow),
-    )
+    averaged = {
+        name: cell_mean(a)
+        for name, (dtype, _) in POINT_ATTRIBUTES.items()
+        if dtype.kind == "f" and (a := getattr(pc, name)) is not None
+    }
+    centers = PointCloud(cell_mean(pc.points), **averaged)
     return VoxelGrid(voxel_size=float(voxel_size), voxel_centers=centers, point_to_voxel=inverse)
 
 

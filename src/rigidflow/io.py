@@ -5,7 +5,9 @@ The native cloud format is a little-endian binary container (magic "RGF1"):
 a 16-byte header (magic, point count u32, feature dim u32, attribute bitmask
 u32) followed by N x 3 float32 coordinates and the optional attribute blocks
 in bitmask order: features (N x D float32), fg_prob (N float32), cluster_id
-(N int32), flow (N x 3 float32). A plain-text XYZ[+flow] format is provided
+(N int32), flow (N x 3 float32). That order, the bits and the stored dtypes
+are this module's `_BLOCKS` table; the set of attributes and their shapes
+are `geom.POINT_ATTRIBUTES`. A plain-text XYZ[+flow] format is provided
 for interchange. Transforms are row-major 3x4 float text. Configs and
 reports are flat "key = value" text; this module moves them as text and
 leaves their meaning to the caller (`PipelineConfig.from_flat_dict` for
@@ -15,11 +17,12 @@ identical runs produce identical bytes. Only `geom` is imported.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .geom import PointCloud, RigidTransform
+from .geom import POINT_ATTRIBUTES, PointCloud, RigidTransform
 
 __all__ = [
     "ParseError",
@@ -37,12 +40,16 @@ __all__ = [
 ]
 
 MAGIC = b"RGF1"
-_FLAG_FEATURES = 1
-_FLAG_FG_PROB = 2
-_FLAG_CLUSTER_ID = 4
-_FLAG_FLOW = 8
-_ALL_FLAGS = _FLAG_FEATURES | _FLAG_FG_PROB | _FLAG_CLUSTER_ID | _FLAG_FLOW
 _HEADER = struct.Struct("<4sIII")
+# Attribute blocks in file order: (attribute, header bit, 4-byte stored dtype).
+# Shapes come from `POINT_ATTRIBUTES`, with the header's feature dim as D.
+_BLOCKS = (
+    ("features", 1, "<f4"),
+    ("fg_prob", 2, "<f4"),
+    ("cluster_id", 4, "<i4"),
+    ("flow", 8, "<f4"),
+)
+_ALL_BITS = sum(bit for _, bit, _ in _BLOCKS)
 
 
 class ParseError(ValueError):
@@ -57,27 +64,11 @@ class ParseError(ValueError):
 
 def write_point_cloud(path, pc: PointCloud) -> None:
     """Write a cloud in the binary container (float32/int32 storage)."""
-    mask = 0
-    dim = 0
-    if pc.features is not None:
-        mask |= _FLAG_FEATURES
-        dim = pc.features.shape[1]
-    if pc.fg_prob is not None:
-        mask |= _FLAG_FG_PROB
-    if pc.cluster_id is not None:
-        mask |= _FLAG_CLUSTER_ID
-    if pc.flow is not None:
-        mask |= _FLAG_FLOW
-    parts = [_HEADER.pack(MAGIC, len(pc), dim, mask)]
+    present = [(name, bit, dtype) for name, bit, dtype in _BLOCKS if getattr(pc, name) is not None]
+    dim = 0 if pc.features is None else pc.features.shape[1]
+    parts = [_HEADER.pack(MAGIC, len(pc), dim, sum(bit for _, bit, _ in present))]
     parts.append(pc.points.astype("<f4").tobytes())
-    if pc.features is not None:
-        parts.append(pc.features.astype("<f4").tobytes())
-    if pc.fg_prob is not None:
-        parts.append(pc.fg_prob.astype("<f4").tobytes())
-    if pc.cluster_id is not None:
-        parts.append(pc.cluster_id.astype("<i4").tobytes())
-    if pc.flow is not None:
-        parts.append(pc.flow.astype("<f4").tobytes())
+    parts += [getattr(pc, name).astype(dtype).tobytes() for name, _, dtype in present]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -91,20 +82,17 @@ def read_point_cloud(path) -> PointCloud:
     magic, n, dim, mask = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise ParseError(path, 0, f"bad magic {magic!r}, expected {MAGIC!r}")
-    if mask & ~_ALL_FLAGS:
-        raise ParseError(path, 12, f"unknown attribute bits 0x{mask & ~_ALL_FLAGS:x}")
-    if mask & _FLAG_FEATURES and dim == 0:
-        raise ParseError(path, 8, "feature block present but feature dim is 0")
+    if mask & ~_ALL_BITS:
+        raise ParseError(path, 12, f"unknown attribute bits 0x{mask & ~_ALL_BITS:x}")
 
-    expected = _HEADER.size + 12 * n
-    if mask & _FLAG_FEATURES:
-        expected += 4 * n * dim
-    if mask & _FLAG_FG_PROB:
-        expected += 4 * n
-    if mask & _FLAG_CLUSTER_ID:
-        expected += 4 * n
-    if mask & _FLAG_FLOW:
-        expected += 12 * n
+    blocks = [("points", "<f4", (n, 3))]
+    for name, bit, dtype in _BLOCKS:
+        if mask & bit:
+            shape = POINT_ATTRIBUTES[name][1]
+            if None in shape and dim == 0:
+                raise ParseError(path, 8, "feature block present but feature dim is 0")
+            blocks.append((name, dtype, (n, *(dim if s is None else s for s in shape))))
+    expected = _HEADER.size + sum(4 * math.prod(shape) for _, _, shape in blocks)
     if len(data) != expected:
         raise ParseError(
             path,
@@ -112,26 +100,14 @@ def read_point_cloud(path) -> PointCloud:
             f"size mismatch: have {len(data)} bytes, header implies {expected}",
         )
 
+    arrays = {}
     offset = _HEADER.size
-
-    def block(dtype: str, count: int, shape) -> np.ndarray:
-        nonlocal offset
-        out = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape)
-        offset += out.nbytes
-        return out
-
-    points = block("<f4", 3 * n, (n, 3)).astype(np.float64)
-    features = fg_prob = cluster_id = flow = None
-    if mask & _FLAG_FEATURES:
-        features = block("<f4", n * dim, (n, dim)).astype(np.float64)
-    if mask & _FLAG_FG_PROB:
-        fg_prob = block("<f4", n, (n,)).astype(np.float64)
-    if mask & _FLAG_CLUSTER_ID:
-        cluster_id = block("<i4", n, (n,)).astype(np.int64)
-    if mask & _FLAG_FLOW:
-        flow = block("<f4", 3 * n, (n, 3)).astype(np.float64)
+    for name, dtype, shape in blocks:
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(data, dtype, count, offset).reshape(shape)
+        offset += 4 * count
     try:
-        return PointCloud(points, features=features, fg_prob=fg_prob, cluster_id=cluster_id, flow=flow)
+        return PointCloud(**arrays)
     except ValueError as exc:
         raise ParseError(path, _HEADER.size, str(exc)) from exc
 

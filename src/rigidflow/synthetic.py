@@ -29,7 +29,7 @@ class SceneSpec:
     magnitudes are upper bounds; actual magnitudes are drawn uniformly.
     `min_object_gap` is the enforced clearance between every object and all
     other geometry (objects and background), so density clustering on the
-    foreground is unambiguous.
+    foreground is unambiguous. A value no scene can have raises ValueError.
     """
 
     n_objects: int = 3
@@ -48,7 +48,9 @@ class SceneSpec:
     ground_y: float = -1.6
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("inconsistent scene spec: seed must be non-negative")
         if self.n_objects < 0:
             raise ValueError("inconsistent scene spec: negative object count")
         if self.n_objects > 0 and self.points_per_object < 3:
@@ -205,7 +207,6 @@ def generate_scene(spec: SceneSpec) -> SyntheticScene:
     correspondences; dropped points receive fresh vectors so they match
     nothing in the other frame.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     ext = spec.background_extent
 

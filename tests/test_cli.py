@@ -58,6 +58,14 @@ def test_synth_invalid_spec_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_synth_negative_seed_exits_2_naming_the_flag(tmp_path, capsys):
+    prefix = tmp_path / "neg"
+    rc = main(["synth", "--out-prefix", str(prefix), "--seed", "-1"])
+    assert rc == 2
+    assert "--seed -1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_flow_end_to_end_oracle_features(tmp_path, capsys):
     prefix = synth(tmp_path, "--noise-sigma", "0", "--dropout", "0")
     out_flow = str(tmp_path / "pred.rgf")
@@ -209,6 +217,51 @@ def test_flow_gt_ego_adds_only_the_ego_lines(tmp_path):
     keys = [line.split(" = ")[0] for line in lines["gt"][at : at + 2]]
     assert keys == ["ego.rre", "ego.rte"]
     assert lines["gt"][:at] + lines["gt"][at + 2 :] == lines["plain"]
+
+
+def test_flow_missing_gt_ego_exits_2_before_inference(tmp_path, capsys, monkeypatch):
+    import rigidflow.cli as cli
+
+    prefix = synth(tmp_path)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("inference ran")
+
+    monkeypatch.setattr(cli, "infer_rigid_flow", spy)
+    out_flow = tmp_path / "pred.rgf"
+    missing = str(tmp_path / "no_ego.txt")
+    rc = main(
+        [
+            "flow", "--src", f"{prefix}_x.rgf", "--tgt", f"{prefix}_y.rgf",
+            "--gt-ego", missing, "--out-flow", str(out_flow),
+        ]
+    )
+    assert rc == 2
+    assert missing in capsys.readouterr().err
+    assert calls == []
+    assert not out_flow.exists()
+
+
+def test_flow_mismatched_feature_widths_exit_2_naming_both_donors(tmp_path, rng, capsys):
+    prefix = synth(tmp_path)
+    donors = []
+    for side, frame, dim in (("src", "x", 16), ("tgt", "y", 8)):
+        n = len(read_point_cloud(f"{prefix}_{frame}.rgf"))
+        donor = tmp_path / f"{side}_feat.rgf"
+        write_point_cloud(donor, PointCloud(np.zeros((n, 3)), features=rng.normal(size=(n, dim))))
+        donors.append(str(donor))
+    rc = main(
+        [
+            "flow", "--src", f"{prefix}_x.rgf", "--tgt", f"{prefix}_y.rgf",
+            "--features", "file", "--src-features", donors[0], "--tgt-features", donors[1],
+            "--out-flow", str(tmp_path / "pred.rgf"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{donors[0]} has D = 16" in err and f"{donors[1]} has D = 8" in err
 
 
 def test_flow_non_finite_text_cloud_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from rigidflow.geom import (
+    POINT_ATTRIBUTES,
     FlowField,
     PointCloud,
     RigidTransform,
@@ -209,6 +210,29 @@ def test_point_cloud_attribute_length_mismatch():
         PointCloud(np.zeros((3, 3)), fg_prob=np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "attribute, value, message",
+    [
+        ("features", np.zeros(3), "features must have shape (3, D), got (3,)"),
+        ("features", np.zeros((2, 4)), "features must have shape (3, D), got (2, 4)"),
+        ("fg_prob", np.zeros((3, 1)), "fg_prob must have shape (3,), got (3, 1)"),
+        ("fg_prob", np.zeros(2), "fg_prob must have shape (3,), got (2,)"),
+        ("cluster_id", np.zeros(4), "cluster_id must have shape (3,), got (4,)"),
+        ("flow", np.zeros((3, 2)), "flow must have shape (3, 3), got (3, 2)"),
+        ("flow", np.zeros(9), "flow must have shape (3, 3), got (9,)"),
+    ],
+)
+def test_point_cloud_shape_error_names_attribute(attribute, value, message):
+    with pytest.raises(ValueError) as err:
+        PointCloud(np.zeros((3, 3)), **{attribute: value})
+    assert str(err.value) == message
+
+
+def test_point_attributes_are_the_optional_fields():
+    fields = [f.name for f in dataclasses.fields(PointCloud)]
+    assert fields == ["points", *POINT_ATTRIBUTES]
+
+
 def test_select_subsets_all_attributes(rng):
     pc = PointCloud(
         rng.normal(size=(10, 3)),
@@ -219,8 +243,11 @@ def test_select_subsets_all_attributes(rng):
     )
     sub = pc.select([2, 5, 7])
     assert len(sub) == 3
+    np.testing.assert_array_equal(sub.points, pc.points[[2, 5, 7]])
     np.testing.assert_array_equal(sub.features, pc.features[[2, 5, 7]])
+    np.testing.assert_array_equal(sub.fg_prob, pc.fg_prob[[2, 5, 7]])
     np.testing.assert_array_equal(sub.cluster_id, [2, 5, 7])
+    np.testing.assert_array_equal(sub.flow, pc.flow[[2, 5, 7]])
 
 
 def _assert_same_queries(tree, points, queries):

@@ -1,9 +1,13 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
 from rigidflow.cli import main
-from rigidflow.geom import PointCloud
+from rigidflow.geom import POINT_ATTRIBUTES, PointCloud
 from rigidflow.io import (
+    _BLOCKS,
     ParseError,
     format_key_values,
     read_key_values,
@@ -60,6 +64,45 @@ def test_binary_partial_attributes(tmp_path, rng):
     back = read_point_cloud(path)
     assert back.features is None and back.fg_prob is None and back.cluster_id is None
     assert back.flow is not None
+
+
+def test_binary_layout_is_pinned(tmp_path):
+    # header (magic, n, feature dim, attribute bits), then points and the
+    # blocks in bit order, float32 except int32 cluster ids
+    pc = PointCloud(
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+        features=[[0.5, -1.0], [2.0, 0.25]],
+        fg_prob=[0.0, 1.0],
+        cluster_id=[-1, 7],
+        flow=[[0.5, 0.0, -0.5], [1.0, 2.0, 3.0]],
+    )
+    golden = (
+        struct.pack("<4sIII", b"RGF1", 2, 2, 1 | 2 | 4 | 8)
+        + struct.pack("<6f", 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        + struct.pack("<4f", 0.5, -1.0, 2.0, 0.25)
+        + struct.pack("<2f", 0.0, 1.0)
+        + struct.pack("<2i", -1, 7)
+        + struct.pack("<6f", 0.5, 0.0, -0.5, 1.0, 2.0, 3.0)
+    )
+    path = tmp_path / "golden.rgf"
+    write_point_cloud(path, pc)
+    assert path.read_bytes() == golden
+    back = read_point_cloud(path)
+    for name in ("points", *POINT_ATTRIBUTES):
+        np.testing.assert_array_equal(getattr(back, name), getattr(pc, name))
+
+    partial = dataclasses.replace(pc, features=None, cluster_id=None)
+    write_point_cloud(path, partial)
+    assert path.read_bytes() == (
+        struct.pack("<4sIII", b"RGF1", 2, 0, 2 | 8)
+        + struct.pack("<6f", 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        + struct.pack("<2f", 0.0, 1.0)
+        + struct.pack("<6f", 0.5, 0.0, -0.5, 1.0, 2.0, 3.0)
+    )
+
+
+def test_binary_blocks_cover_every_point_attribute():
+    assert [name for name, _, _ in _BLOCKS] == list(POINT_ATTRIBUTES)
 
 
 def test_binary_bad_magic(tmp_path):

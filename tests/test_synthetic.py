@@ -122,6 +122,8 @@ def test_invalid_specs_rejected():
         generate_scene(SceneSpec(noise_sigma=-0.1))
     with pytest.raises(ValueError, match="inconsistent scene spec"):
         generate_scene(SceneSpec(background_points=2))
+    with pytest.raises(ValueError, match="inconsistent scene spec: seed must be non-negative"):
+        SceneSpec(seed=-1)
 
 
 def test_nearby_features_are_similar_far_features_are_not():
