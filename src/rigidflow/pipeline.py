@@ -197,8 +197,7 @@ class SceneDecomposition:
     when `cluster_fitted[k]` is False, in which case the cluster falls back
     to the unconstrained flow during assembly). `voxel_flow` is the
     assembled per-voxel rigid flow, None until `assemble_rigid_flow` has run.
-    It holds results, not intermediates: the ego's soft assignment is freed
-    inside `estimate_ego_motion`.
+    It holds results, not intermediates: no transport plan is kept.
     """
 
     bg_mask_x: np.ndarray

@@ -3,7 +3,7 @@
 `weighted_kabsch` solves argmin_{R,t} sum_l w_l ||R x_l + t - q_l||^2 via a
 weighted covariance and an SVD with a determinant correction that rules out
 reflections. `estimate_ego_motion` feeds it soft correspondences from the
-Sinkhorn assignment; `fit_cluster_transform` feeds it a cluster's flow
+slack Sinkhorn transport; `fit_cluster_transform` feeds it a cluster's flow
 vectors with uniform weights.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import FlowField, PointCloud, RigidTransform
-from .transport import soft_assignment, soft_correspondences
+from .transport import pruned_soft_correspondences
 
 __all__ = [
     "WeightedCorrespondenceSet",
@@ -103,14 +103,14 @@ def estimate_ego_motion(
     """Rigid motion mapping the source background onto the target background.
 
     Samples up to `n_sample` points per side without replacement (all points
-    when fewer exist), builds the soft assignment at temperature `tau` with
-    slack at exp(-slack_d0 / tau) (slack_d0 defaults to 2 tau, i.e. slack
-    competes like a match at distance 2 tau) and `iterations` Sinkhorn
-    sweeps, and fits a weighted Kabsch on the soft
-    correspondences, weighting each row by the mass it kept from slack.
-
-    Returns the fitted transform; the (N+1) x (M+1) assignment it was fitted
-    from is freed on return.
+    when fewer exist), matches them by the soft assignment at temperature
+    `tau` with slack at exp(-slack_d0 / tau) (slack_d0 defaults to 2 tau, i.e.
+    slack competes like a match at distance 2 tau) and `iterations` Sinkhorn
+    sweeps, and fits a weighted Kabsch on the soft correspondences, weighting
+    each row by the mass it kept from slack. The transport runs on the pruned
+    sparse plan of `pruned_soft_correspondences`, which agrees with the dense
+    `soft_assignment` to rounding but holds only the entries within float64
+    reach of their row's best match.
     """
     if bg_x.features is None or bg_y.features is None:
         raise ValueError("both clouds need feature attributes")
@@ -123,14 +123,13 @@ def estimate_ego_motion(
 
     sample_x = bg_x.select(rng.choice(len(bg_x), size=min(n_sample, len(bg_x)), replace=False))
     sample_y = bg_y.select(rng.choice(len(bg_y), size=min(n_sample, len(bg_y)), replace=False))
-    # Release the full clouds before the (N+1) x (M+1) assignment is filled;
-    # they are freed here when the caller passed them as temporaries.
+    # Release the full clouds before the transport runs; they are freed here
+    # when the caller passed them as temporaries.
     del bg_x, bg_y
 
-    assignment = soft_assignment(
-        sample_x.features, sample_y.features, tau, slack_logit=-slack_d0 / tau, iterations=iterations
+    matched, weights = pruned_soft_correspondences(
+        sample_x, sample_y, tau, slack_logit=-slack_d0 / tau, iterations=iterations
     )
-    matched, weights = soft_correspondences(assignment, sample_y, source=sample_x)
     return weighted_kabsch(
         WeightedCorrespondenceSet(source=sample_x, target=matched, weights=weights)
     )

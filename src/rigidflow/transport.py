@@ -1,19 +1,29 @@
 """Slack-augmented soft assignment between two feature sets.
 
-One kernel serves both consumers: `soft_assignment` builds the row-normalized
-matching exp(-||f_i - g_j|| / tau), optionally against a slack row/column and
-refined by Sinkhorn sweeps, and `soft_correspondences` reads off barycentric
-matches. The ego-motion uses slack and 3 sweeps; the flow head uses no slack
-and a single row sweep (a plain softmax), which `flowhead.soft_flow` streams
-block by block without holding the matrix. The slack row/column absorbs the
-mass of points that have no real counterpart (occlusion, sampling holes) so
-outliers are down-weighted rather than force-matched.
+`soft_assignment` builds the row-normalized matching exp(-||f_i - g_j|| / tau),
+optionally against a slack row/column and refined by Sinkhorn sweeps, and
+`soft_correspondences` reads off barycentric matches. The slack row/column
+absorbs the mass of points that have no real counterpart (occlusion,
+sampling holes) so outliers are down-weighted rather than force-matched.
 
-The matrix is filled `_BLOCK_ROWS` rows at a time, so the elementwise passes
-after each block's matrix product run in cache. The sweeps run in scaling
-form (Cuturi 2013): they update one row-scale and one column-scale vector
-with read-only matrix-vector products, and the matrix is scaled once at the
-end.
+The two consumers run this one matching in the form their temperature suits:
+
+- The ego-motion (slack, 3 sweeps, tau_ego = 0.005) calls
+  `pruned_soft_correspondences`. At that temperature only about 0.4-2% of
+  the entries of a 1024 x 1024 plan lie within float64 reach of their row's
+  best match, so it keeps those in a sparse plan and never holds the dense
+  (N+1) x (M+1) matrix, with a proven bound on what the dropped entries move.
+- The flow head (no slack, one row sweep, i.e. a plain softmax, tau_flow =
+  0.1) has every entry within reach, so `flowhead.soft_flow` streams the dense
+  rows block by block without holding the matrix.
+
+The dense `soft_assignment`, `sinkhorn` and `soft_correspondences` stay the
+public form, and the reference the pruned form is tested against. Both
+forms fill their logits `_BLOCK_ROWS` rows at a time, so the elementwise
+passes after each block's matrix product run in cache, and run the sweeps
+in scaling form (Cuturi 2013): they update one row-scale and one
+column-scale vector with read-only matrix-vector products, and the dense
+matrix is scaled once at the end.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .geom import PointCloud
 
@@ -29,6 +40,7 @@ __all__ = [
     "soft_assignment",
     "sinkhorn",
     "soft_correspondences",
+    "pruned_soft_correspondences",
 ]
 
 # Rows per block of the logit fill: 64 rows of ~2000 float64 columns is about
@@ -38,7 +50,7 @@ _BLOCK_ROWS = 64
 
 @dataclass(frozen=True)
 class AssignmentMatrix:
-    """(N+1) x (M+1) nonnegative matrix whose last row/column are slack.
+    """(N+1) x (M+1) finite nonnegative matrix whose last row/column are slack.
 
     After `sinkhorn`, every real row sums to 1 over all M+1 columns and every
     real column sums to 1 over all N+1 rows (to the tolerance the affinity
@@ -56,6 +68,8 @@ class AssignmentMatrix:
             raise ValueError(
                 f"values must have shape ({self.n_rows + 1}, {self.n_cols + 1}), got {v.shape}"
             )
+        if not np.isfinite(v).all():
+            raise ValueError("assignment entries must be finite")
         if v.min() < 0:
             raise ValueError("assignment entries must be nonnegative")
         object.__setattr__(self, "values", v)
@@ -134,25 +148,34 @@ def _reciprocal(sums: np.ndarray, out: np.ndarray) -> None:
         raise ValueError("degenerate affinity")
 
 
-def _sweep(v: np.ndarray, n: int, m: int, iterations: int) -> None:
-    """Normalize the real rows, then the real columns, of `v` in place.
+def _scale(row_sums, col_sums, r: np.ndarray, c: np.ndarray, iterations: int) -> None:
+    """Sinkhorn sweeps in scaling form: r = 1 / row_sums(), then c = 1 / col_sums().
 
-    Repeats `iterations` times; `iterations=0` runs a single row sweep. Sums
-    run over the slack row/column too, which are never scaled themselves.
-    The sweeps keep a row scale r and a column scale c (1 on the slack row and
-    column), each updated by one matrix-vector product with `v` left as is;
-    `v` becomes diag(r) v diag(c) once at the end.
+    `r` and `c` are the scales of the real rows and columns, written in place
+    (they start at 1); `row_sums` reads the current `c` and `col_sums` the
+    current `r`, each summing over the slack row/column too, whose own scale
+    stays 1. Repeats `iterations` times; `iterations=0` runs a single row
+    sweep and leaves `c` at 1.
 
     Raises:
         ValueError: "degenerate affinity" when a real row or column has no mass,
             or too little for its scale to be a finite double.
     """
+    for _ in range(max(iterations, 1)):
+        _reciprocal(row_sums(), r)
+        if iterations:
+            _reciprocal(col_sums(), c)
+
+
+def _sweep(v: np.ndarray, n: int, m: int, iterations: int) -> None:
+    """Normalize the real rows, then the real columns, of `v` in place.
+
+    Runs `_scale` with one matrix-vector product per sum, `v` left as is,
+    then makes `v` diag(r) v diag(c) once at the end.
+    """
     r = np.ones(n + 1)
     c = np.ones(m + 1)
-    for _ in range(max(iterations, 1)):
-        _reciprocal(v[:n] @ c, r[:n])
-        if iterations:
-            _reciprocal(r @ v[:, :m], c[:m])
+    _scale(lambda: v[:n] @ c, lambda: r @ v[:, :m], r[:n], c[:m], iterations)
     v *= r[:, None]
     if iterations:
         v *= c
@@ -248,7 +271,13 @@ def soft_correspondences(
     targets = np.zeros((a.n_cols + 1, 4))
     targets[: a.n_cols, :3] = target.points
     targets[: a.n_cols, 3] = 1.0
-    acc = a.values[: a.n_rows] @ targets
+    return _matches(a.values[: a.n_rows] @ targets, source)
+
+
+def _matches(acc: np.ndarray, source: PointCloud | None) -> tuple[PointCloud, np.ndarray]:
+    """Match points acc[:, :3] / acc[:, 3] and weights acc[:, 3] of (N, 4) row sums
+    against [y | 1]; a row with no real mass gets weight 0 and its source point
+    (the origin without a source)."""
     weights = acc[:, 3].copy()
     dead = weights == 0
     denom = np.where(dead, 1.0, weights)
@@ -256,3 +285,89 @@ def soft_correspondences(
     if np.any(dead):
         points[dead] = source.points[dead] if source is not None else 0.0
     return PointCloud(points=points), weights
+
+
+def pruned_soft_correspondences(
+    source: PointCloud,
+    target: PointCloud,
+    tau: float,
+    slack_logit: float,
+    iterations: int = 3,
+) -> tuple[PointCloud, np.ndarray]:
+    """`soft_correspondences(soft_assignment(...), target, source)` on a pruned plan.
+
+    Matches `source` to `target` by their features exactly as the dense pair
+    does with the same `tau`, `slack_logit` and `iterations`, but keeps entry
+    (i, j) of the N x M real block only when its logit lies within
+
+        K = 64 ln 2 + ln((N + 1)(M + 1)) + 2 max(0, -slack_logit)
+
+    nats of row i's largest real logit, so every row keeps its maximum. The
+    test runs on the squared distances of each `_BLOCK_ROWS`-row block, so
+    square roots and exponentials run on kept entries only; the sweeps run on
+    the kept entries as a CSR matrix P, and the match points and weights are
+    read as r * (P @ (c * [y | 1])). No N x M float64 array is allocated.
+
+    Why nothing a float64 sum can register is lost: in the unshifted kernel
+    exp(L) (every real L <= 0), each row sum holds the slack column's
+    exp(slack_logit) and each column sum the slack row's, so both scale vectors
+    stay at or below exp(max(0, -slack_logit)), and column scales differ by
+    at most a factor (N + 1) exp(2 max(0, -slack_logit)). A dropped entry is
+    at most exp(-K) times its row's kept maximum, so the dropped entries move
+    any row sum, column sum or kept mass (weight) by less than 2^-64 of it in
+    every sweep, and a match point by less than 2^-64 times the diameter of
+    the target. A row whose kept mass is exactly 0 gets weight 0 and its
+    source point, as in `soft_correspondences`.
+
+    Raises:
+        ValueError: if tau <= 0 ("nonpositive temperature"), iterations < 0,
+            either cloud lacks features, their dimensions disagree, or a real
+            row or column ends up with no mass ("degenerate affinity"), as
+            in the dense pair.
+    """
+    if iterations < 0:
+        raise ValueError("iterations must be nonnegative")
+    if source.features is None or target.features is None:
+        raise ValueError("both clouds need feature attributes")
+    a, b = _logit_operands(source.features, target.features, tau)
+    n, m = len(a), b.shape[1]
+    reach = 64 * np.log(2.0) + np.log((n + 1) * (m + 1)) + 2 * max(0.0, -slack_logit)
+    block = np.empty((min(n, _BLOCK_ROWS), m))
+    keep = np.empty(block.shape, dtype=bool)
+    lowest = np.empty(n)  # -(largest real logit) of each row
+    counts = np.empty(n, dtype=np.intp)
+    cols, squares = [np.empty(0, dtype=np.intp)], [np.empty(0)]  # seeded for n = 0
+    for i in range(0, n, _BLOCK_ROWS):
+        k = min(n - i, _BLOCK_ROWS)
+        np.matmul(a[i : i + k], b, out=block[:k])  # squared logits
+        # a NaN row keeps no entry, but its NaN slack entry fails the sweep
+        # with "degenerate affinity", as in the dense form
+        smallest = block[:k].min(axis=1, initial=np.inf)
+        np.sqrt(np.maximum(smallest, 0.0), out=lowest[i : i + k])
+        limit = (lowest[i : i + k] + reach) ** 2
+        np.less_equal(block[:k], limit[:, None], out=keep[:k])
+        flat = np.flatnonzero(keep[:k])
+        rows, j = np.divmod(flat, m)
+        cols.append(j)
+        squares.append(block[:k].ravel()[flat])
+        counts[i : i + k] = np.bincount(rows, minlength=k)
+    # the dense row shift: each row's largest logit, slack included
+    shift = np.minimum(lowest, -slack_logit)
+    values = np.concatenate(squares)
+    np.maximum(values, 0.0, out=values)  # cancellation can leave tiny negatives
+    np.sqrt(values, out=values)
+    np.subtract(np.repeat(shift, counts), values, out=values)
+    np.exp(values, out=values)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    plan = csr_array((values, np.concatenate(cols), indptr), shape=(n, m))
+    slack = np.exp(shift + slack_logit)
+    corner = np.exp(slack_logit)
+    r = np.ones(n)
+    c = np.ones(m)
+    _scale(lambda: plan @ c + slack, lambda: plan.T @ r + corner, r, c, iterations)
+    targets = np.ones((m, 4))
+    targets[:, :3] = target.points
+    acc = plan @ (targets * c[:, None])
+    acc *= r[:, None]
+    return _matches(acc, source)

@@ -624,8 +624,7 @@ def test_concurrent_callers_match_sequential_calls():
 
 def test_ego_motion_releases_full_background_before_assignment():
     # The pipeline passes the background selections as temporaries; the full
-    # clouds (2 x 2.7 MiB here) must be freed before the 8 MiB (1025 x 1025)
-    # assignment is filled, so the peak stays near the assignment's size.
+    # clouds (2 x 2.7 MiB here) are freed before the ego transport runs.
     rng = np.random.default_rng(1)
     n = 10_000
     f = rng.normal(size=(n, 32))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,16 +149,17 @@ def _orthogonal_featured_cloud(rng, n):
 
 
 def _spy_on_assignment(monkeypatch):
-    """Record every assignment `estimate_ego_motion` builds; it returns none."""
+    """Record every (matched, weights) the ego transport yields; `estimate_ego_motion`
+    returns the transform alone."""
     seen = []
 
-    original = rigidfit.soft_assignment
+    original = rigidfit.pruned_soft_correspondences
 
     def spy(*args, **kwargs):
         seen.append(original(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(rigidfit, "soft_assignment", spy)
+    monkeypatch.setattr(rigidfit, "pruned_soft_correspondences", spy)
     return seen
 
 
@@ -173,11 +176,10 @@ def test_ego_motion_recovers_transform_with_oracle_features(rng, monkeypatch):
     moved = apply_transform(t_gt, cloud)
     seen = _spy_on_assignment(monkeypatch)
     est = estimate_ego_motion(cloud, moved, rng=np.random.default_rng(1))
-    (assignment,) = seen
+    ((_, rows),) = seen
     np.testing.assert_allclose(est.rotation, t_gt.rotation, atol=1e-6)
     np.testing.assert_allclose(est.translation, t_gt.translation, atol=1e-6)
     # real-row mass stays near 1: little probability lost to slack
-    rows = assignment.real.sum(axis=1)
     assert rows.min() > 0.8
 
 
@@ -214,9 +216,29 @@ def test_ego_motion_uses_all_points_when_sample_exceeds(rng, monkeypatch):
     est = estimate_ego_motion(
         cloud, apply_transform(t_gt, cloud), n_sample=1024, rng=np.random.default_rng(3)
     )
-    (assignment,) = seen
-    assert assignment.n_rows == 50
+    ((matched, _),) = seen
+    assert len(matched) == 50
     np.testing.assert_allclose(est.rotation, t_gt.rotation, atol=1e-6)
+
+
+def test_ego_motion_transport_peaks_below_one_dense_plan():
+    # 1024 samples a side match a moved, noisy copy of themselves; the dense
+    # (N+1) x (M+1) float64 plan alone would be 8.02 MiB, more than the bound
+    rng = np.random.default_rng(4)
+    n = 1024
+    f = rng.normal(size=(n, 32))
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    src = PointCloud(rng.uniform(-20.0, 20.0, size=(n, 3)), features=f)
+    perm = rng.permutation(n)
+    tgt = PointCloud(src.points[perm] + 1.0, features=f[perm] + 0.01 * rng.normal(size=f.shape))
+    tracemalloc.start()
+    try:
+        est = estimate_ego_motion(src, tgt, tau=0.005, n_sample=n, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    np.testing.assert_allclose(est.translation, np.ones(3), atol=1e-6)
 
 
 # ------------------------------------------------------- fit_cluster_transform

@@ -6,6 +6,7 @@ from rigidflow.geom import PointCloud
 from rigidflow.transport import (
     _BLOCK_ROWS,
     AssignmentMatrix,
+    pruned_soft_correspondences,
     sinkhorn,
     soft_assignment,
     soft_correspondences,
@@ -246,6 +247,16 @@ def test_assignment_matrix_rejects_negative_entries():
         AssignmentMatrix(v, n_rows=2, n_cols=3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assignment_matrix_rejects_non_finite_entries(bad):
+    # NaN passes a `min() < 0` test, and inf would reach soft_correspondences
+    # and inlier_loss as non-finite points and losses
+    v = np.full((3, 4), 0.5)
+    v[0, 1] = bad
+    with pytest.raises(ValueError, match="assignment entries must be finite"):
+        AssignmentMatrix(v, n_rows=2, n_cols=3)
+
+
 def test_sinkhorn_rejects_zero_rows():
     v = np.zeros((3, 3))
     v[0, 0] = 1.0
@@ -353,3 +364,94 @@ def test_sinkhorn_weights_in_unit_interval(rng):
     a = soft_assignment(fx, fy, 0.3, slack_logit=np.log(0.2), iterations=3)
     _, weights = soft_correspondences(a, PointCloud(rng.normal(size=(12, 3))))
     assert np.all(weights >= 0.0) and np.all(weights <= 1.0 + 1e-12)
+
+
+# ---------------------------------------------- pruned soft correspondences
+
+
+def _dense_correspondences(source, target, tau, slack_logit, iterations):
+    """The dense pair the pruned plan stands in for, or the error it raises."""
+    try:
+        a = soft_assignment(
+            source.features, target.features, tau, slack_logit=slack_logit, iterations=iterations
+        )
+    except ValueError as err:
+        return err
+    return soft_correspondences(a, target, source=source)
+
+
+def _ego_like_pair(n, regime):
+    """n source samples against a moved target: 3/4 of the rows have a noisy
+    counterpart, the rest and the target's extra rows match nothing, and one
+    source row sits beyond reach of every target, so all its mass is slack."""
+    rng = np.random.default_rng(n)
+    points = rng.uniform(-20.0, 20.0, size=(n, 3))
+    matched = rng.permutation(n)[: max(1, 3 * n // 4)]
+    target_points = np.concatenate([points[matched] + 1.0, rng.uniform(-20.0, 20.0, size=(9, 3))])
+    if regime == "xyz":  # raw coordinates as features: tau is then a distance
+        features = points.copy()
+        target_features = target_points + 0.003 * rng.normal(size=target_points.shape)
+    else:  # unit descriptors with noise sigma per dimension
+        features = rng.normal(size=(n, 16))
+        features /= np.linalg.norm(features, axis=1, keepdims=True)
+        extra = rng.normal(size=(9, 16))
+        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+        target_features = np.concatenate([features[matched], extra])
+        target_features += regime * rng.normal(size=target_features.shape)
+    features[0] += 1e3
+    return (
+        PointCloud(points, features=features),
+        PointCloud(target_points, features=target_features),
+    )
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+@pytest.mark.parametrize("slack_logit", [-800.0, -40.0, -2.0, 0.0, 3.0])
+@pytest.mark.parametrize(
+    "n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3, 1024]
+)
+def test_pruned_correspondences_match_the_dense_pair(n, slack_logit, iterations):
+    # the bound was fixed before the pruned kernel was written: the dropped
+    # entries are below 2^-64 of what they could move, so only rounding remains
+    for regime in (0.0, 0.05, 0.2, "xyz"):
+        source, target = _ego_like_pair(n, regime)
+        want = _dense_correspondences(source, target, 0.005, slack_logit, iterations)
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError, match=str(want)):
+                pruned_soft_correspondences(source, target, 0.005, slack_logit, iterations)
+            continue
+        points, weights = pruned_soft_correspondences(
+            source, target, 0.005, slack_logit, iterations
+        )
+        # a subnormal weight (far rows of the xyz regime) has too few bits
+        # for a relative bound in either form; it must stay subnormal
+        normal = want[1] >= np.finfo(float).tiny
+        np.testing.assert_allclose(weights[normal], want[1][normal], rtol=1e-12, atol=0)
+        assert np.all(weights[~normal] < np.finfo(float).tiny)
+        np.testing.assert_allclose(
+            points.points[normal], want[0].points[normal], rtol=0, atol=1e-12
+        )
+        assert weights[0] == 0.0
+        np.testing.assert_array_equal(points.points[0], source.points[0])
+
+
+@pytest.mark.parametrize(
+    "fx, fy, tau, slack_logit, message",
+    [
+        # features too large to square: the Gram expansion gives inf - inf
+        ([[0.0], [1e200]], [[0.0], [1e200]], 0.1, -2.0, "degenerate affinity"),
+        # the second target column is out of reach of every row, and the
+        # slack row's exp(-800) underflows, so that column has no mass
+        ([[0.0], [0.01]], [[0.0], [50.0]], 0.005, -800.0, "degenerate affinity"),
+        ([[0.0]], [[0.0]], 0.0, -2.0, "nonpositive temperature"),
+        ([[0.0]], [[0.0, 1.0]], 0.1, -2.0, "equal D"),
+    ],
+)
+def test_pruned_correspondences_raise_where_the_dense_pair_raises(fx, fy, tau, slack_logit, message):
+    fx, fy = np.array(fx), np.array(fy)
+    source = PointCloud(np.zeros((len(fx), 3)), features=fx)
+    target = PointCloud(np.zeros((len(fy), 3)), features=fy)
+    with np.errstate(over="ignore", invalid="ignore"):  # the 1e200 case, in both forms
+        assert message in str(_dense_correspondences(source, target, tau, slack_logit, 3))
+        with pytest.raises(ValueError, match=message):
+            pruned_soft_correspondences(source, target, tau, slack_logit, 3)
