@@ -14,7 +14,6 @@ reader and writer in `io` iterate that table.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,8 @@ __all__ = [
     "invert",
     "voxelize",
     "transfer_flow_to_points",
+    "TransferPlan",
+    "plan_transfer",
     "rotation_about_axis",
 ]
 
@@ -96,10 +97,17 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    @functools.cached_property
+    @property
     def kdtree(self) -> cKDTree:
         """KD-tree over `points`, built on first access and kept for the cloud's life."""
-        return cKDTree(self.points)
+        # Cached without a lock (functools.cached_property holds one lock for
+        # the whole class before Python 3.12, so one cloud's build would stall
+        # another's on a second thread). Threads racing on one cloud each build
+        # the same tree, and one of the equal trees is kept.
+        tree = self.__dict__.get("_kdtree")
+        if tree is None:
+            tree = self.__dict__["_kdtree"] = cKDTree(self.points)
+        return tree
 
     def select(self, index) -> "PointCloud":
         """Return the sub-cloud at `index` (any numpy row index), attributes included."""
@@ -289,6 +297,88 @@ def voxelize(
     return VoxelGrid(voxel_size=float(voxel_size), voxel_centers=centers, point_to_voxel=inverse)
 
 
+@dataclass(frozen=True)
+class TransferPlan:
+    """The part of `transfer_flow_to_points` that does not read the flow.
+
+    `own_rows` take their own voxel `own_voxels` flow by lookup. Each of the
+    other points, `rest_rows`, blends the flows of its `neighbors` (k nearest
+    voxel centers) with the inverse-distance `weights`, which sum to
+    `weight_sums`; an `exact` row sits on its nearest center and takes that
+    center's flow. Build one with `plan_transfer`.
+    """
+
+    n_points: int
+    n_voxels: int
+    own_rows: np.ndarray
+    own_voxels: np.ndarray
+    rest_rows: np.ndarray
+    neighbors: np.ndarray
+    weights: np.ndarray
+    weight_sums: np.ndarray
+    exact: np.ndarray
+
+    def apply(self, voxel_flow: FlowField) -> FlowField:
+        """The per-point flow: lookups, then the weighted sums of the rest."""
+        if len(voxel_flow) != self.n_voxels:
+            raise ValueError("voxel_flow length does not match voxel count")
+        v = voxel_flow.vectors
+        out = np.empty((self.n_points, 3))
+        out[self.own_rows] = v[self.own_voxels]
+        if len(self.rest_rows):
+            flows = v[self.neighbors]  # (n, k, 3)
+            interp = (self.weights[:, :, None] * flows).sum(axis=1) / self.weight_sums[:, None]
+            interp[self.exact] = v[self.neighbors[self.exact, 0]]
+            out[self.rest_rows] = interp
+        return FlowField(out)
+
+
+def plan_transfer(grid: VoxelGrid, original: PointCloud, k: int = 3) -> TransferPlan:
+    """Plan `transfer_flow_to_points(grid, ., original, k)` for any voxel flow.
+
+    When `original` has as many points as the voxelized cloud, a point whose
+    coordinates equal its own voxel's center (`grid.point_to_voxel`) takes
+    that voxel's flow by lookup; a point alone in its cell always does. Only
+    the other points (in multi-point cells, dropped by the `max_voxels` cap,
+    or of another cloud) are queried, on the centers' cached KD-tree.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    centers = grid.voxel_centers.points
+    points = original.points
+
+    # A point equal to its own voxel's center, as every point alone in its
+    # cell is, takes that voxel's flow without a query.
+    rest = np.ones(len(original), dtype=bool)
+    hit = np.empty(0, dtype=np.intp)
+    own = grid.point_to_voxel
+    if len(own) == len(original):
+        kept = np.flatnonzero(own >= 0)
+        hit = kept[np.all(centers[own[kept]] == points[kept], axis=1)]
+        rest[hit] = False
+    rest = np.flatnonzero(rest)
+
+    k_eff = min(k, len(centers))
+    if len(rest):
+        dist, idx = grid.voxel_centers.kdtree.query(points[rest], k=k_eff)
+    else:  # no tree to build
+        dist, idx = np.empty(0), np.empty(0, dtype=np.intp)
+    dist = dist.reshape(len(rest), k_eff)
+    idx = idx.reshape(len(rest), k_eff)
+    w = 1.0 / np.where(dist == 0.0, 1.0, dist)  # exact rows are overwritten by apply
+    return TransferPlan(
+        n_points=len(original),
+        n_voxels=len(centers),
+        own_rows=hit,
+        own_voxels=own[hit],
+        rest_rows=rest,
+        neighbors=idx,
+        weights=w,
+        weight_sums=w.sum(axis=1),
+        exact=dist[:, 0] == 0.0,
+    )
+
+
 def transfer_flow_to_points(
     grid: VoxelGrid,
     voxel_flow: FlowField,
@@ -302,43 +392,8 @@ def transfer_flow_to_points(
     with a voxel center takes that voxel's flow exactly. When the grid has
     fewer than k voxels, all of them are used.
 
-    When `original` has as many points as the voxelized cloud, a point whose
-    coordinates equal its own voxel's center (`grid.point_to_voxel`) takes
-    that voxel's flow by lookup; a point alone in its cell always does. Only
-    the other points (in multi-point cells, dropped by the `max_voxels` cap,
-    or of another cloud) are queried, on the centers' cached KD-tree.
+    This is `plan_transfer(grid, original, k).apply(voxel_flow)`: the plan
+    (own-voxel lookups, k-NN query, weights) reads no flow, so a caller that
+    knows the grid before the flow can build it early.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    centers = grid.voxel_centers.points
-    if len(voxel_flow) != len(centers):
-        raise ValueError("voxel_flow length does not match voxel count")
-    points = original.points
-    out = np.empty((len(original), 3))
-
-    # A point equal to its own voxel's center, as every point alone in its
-    # cell is, takes that voxel's flow without a query.
-    rest = np.ones(len(original), dtype=bool)
-    own = grid.point_to_voxel
-    if len(own) == len(original):
-        kept = np.flatnonzero(own >= 0)
-        hit = kept[np.all(centers[own[kept]] == points[kept], axis=1)]
-        out[hit] = voxel_flow.vectors[own[hit]]
-        rest[hit] = False
-    rest = np.flatnonzero(rest)
-    if len(rest) == 0:
-        return FlowField(out)
-
-    k_eff = min(k, len(centers))
-    dist, idx = grid.voxel_centers.kdtree.query(points[rest], k=k_eff)
-    dist = dist.reshape(len(rest), k_eff)
-    idx = idx.reshape(len(rest), k_eff)
-
-    flows = voxel_flow.vectors[idx]  # (n, k, 3)
-    exact = dist[:, 0] == 0.0
-    safe = np.where(dist == 0.0, 1.0, dist)  # exact rows are overwritten below
-    w = 1.0 / safe
-    interp = (w[:, :, None] * flows).sum(axis=1) / w.sum(axis=1)[:, None]
-    interp[exact] = voxel_flow.vectors[idx[exact, 0]]
-    out[rest] = interp
-    return FlowField(out)
+    return plan_transfer(grid, original, k).apply(voxel_flow)

@@ -12,9 +12,16 @@ After the foreground split the two branches read nothing of each other's
 results, so each call runs them side by side on two threads: the background
 (ego-motion, and its ICP when refining) on one worker thread, the foreground
 (DBSCAN, soft flow, cluster fits, and their ICP when refining) on the calling
-thread. The random generator is drawn from by the background branch alone and
+thread. The transfer's plan (own-voxel lookups, k-NN query and weights) reads
+no flow, so it runs on whichever of the two threads finishes its branch
+first: the calling thread when the ego-motion is the longer branch, the
+worker when the foreground is. After the join only the plan's weighted sums
+remain. The random generator is drawn from by the background branch alone and
 the branches share no mutable state, so the outputs are the same bytes as a
 sequential run whatever the scheduling.
+
+`preprocess` returns its input cloud itself when it keeps every point, so
+frames under the point budget are not copied.
 """
 
 from __future__ import annotations
@@ -33,11 +40,11 @@ from .geom import (
     FlowField,
     PointCloud,
     RigidTransform,
-    transfer_flow_to_points,
+    plan_transfer,
     voxelize,
 )
 from .refine import IcpConfig, refine_clusters, refine_ego
-from .rigidfit import estimate_ego_motion, fit_cluster_transform
+from .rigidfit import _draw_ego_samples, _fit_ego, fit_cluster_transform
 
 __all__ = [
     "PipelineConfig",
@@ -229,6 +236,8 @@ def preprocess(
     `remove_ground`, only points above `ground_removal_y` survive. When more
     than `max_points` remain, a uniform random subset of exactly
     `max_points` is kept (seeded via `rng`). Attributes follow their points.
+    A cloud that keeps every point is returned as it is, not copied, and
+    `rng` is drawn from only when a subset is taken.
 
     Raises:
         ValueError: "insufficient points" when fewer than 3 points survive.
@@ -243,6 +252,8 @@ def preprocess(
         if rng is None:
             rng = np.random.default_rng(cfg.seed)
         index = index[rng.choice(len(index), size=cfg.max_points, replace=False)]
+    elif len(index) == len(pc):
+        return pc  # clouds are immutable, so the whole cloud needs no copy
     return pc.select(index)
 
 
@@ -290,17 +301,12 @@ def _background(
     rng: np.random.Generator,
 ) -> tuple[RigidTransform, bool]:
     """Ego-motion from the background voxels, ICP-refined when `refine`."""
-    # The selections are temporaries, so estimate_ego_motion can drop them
-    # once it has drawn its samples.
-    ego = estimate_ego_motion(
-        vx.select(bg_mask_x),
-        vy.select(bg_mask_y),
-        tau=cfg.tau_ego,
-        n_sample=cfg.ego_sample_size,
-        slack_d0=cfg.resolved_slack_d0,
-        iterations=cfg.sinkhorn_iterations,
-        rng=rng,
+    # Sampled by row index: only the drawn rows are gathered, not the whole
+    # background with every attribute.
+    sample_x, sample_y = _draw_ego_samples(
+        vx, vy, np.flatnonzero(bg_mask_x), np.flatnonzero(bg_mask_y), cfg.ego_sample_size, rng
     )
+    ego = _fit_ego(sample_x, sample_y, cfg.tau_ego, cfg.resolved_slack_d0, cfg.sinkhorn_iterations)
     ego_refined = False
     if refine:
         # ICP reads coordinates only; selecting features too would copy them.
@@ -367,7 +373,8 @@ def infer_rigid_flow(
     cluster from that flow; optionally refine every transform with ICP;
     assemble the per-voxel rigid flow; finally interpolate the voxel flow
     back onto the original source points. The background steps run on a
-    worker thread beside the foreground steps; when both fail, the
+    worker thread beside the foreground steps, and the transfer is planned
+    by whichever thread is free first; when both branches fail, the
     background's error is raised, as if it had run first.
 
     Returns the voxel-level decomposition and the per-point flow for `x`.
@@ -401,15 +408,23 @@ def infer_rigid_flow(
     # ego transport is thread-local (numpy >= 2.0). After the two voxelize
     # calls, `rng` is drawn from by the background branch alone, so the
     # foreground must never touch it: then no draw depends on scheduling.
+    # The transfer plan reads only `grid_x` and `x`, so whichever thread is
+    # free first builds it: it is queued behind the background, and the
+    # calling thread takes it back if it finishes the foreground first.
     with ThreadPoolExecutor(max_workers=1) as pool:
         background = pool.submit(_background, vx, vy, bg_mask_x, bg_mask_y, cfg, refine, rng)
+        queued_plan = pool.submit(plan_transfer, grid_x, x, cfg.interp_k)
         try:
             foreground = _foreground(vx, vy, fg_mask_x, fg_mask_y, cfg, refine)
         except Exception:
+            queued_plan.cancel()
             # Precedence as if the background ran first: its error wins.
             background.result()
             raise
+        plan = plan_transfer(grid_x, x, cfg.interp_k) if queued_plan.cancel() else None
         ego, ego_refined = background.result()
+        if plan is None:
+            plan = queued_plan.result()
     clusters, unconstrained, transforms, fitted, refined = foreground
 
     decomp = SceneDecomposition(
@@ -427,5 +442,4 @@ def infer_rigid_flow(
     )
     decomp = dataclasses.replace(decomp, voxel_flow=assemble_rigid_flow(decomp))
 
-    point_flow = transfer_flow_to_points(grid_x, decomp.voxel_flow, x, cfg.interp_k)
-    return decomp, point_flow
+    return decomp, plan.apply(decomp.voxel_flow)

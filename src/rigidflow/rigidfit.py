@@ -114,19 +114,46 @@ def estimate_ego_motion(
     """
     if bg_x.features is None or bg_y.features is None:
         raise ValueError("both clouds need feature attributes")
-    if len(bg_x) < 3 or len(bg_y) < 3:
-        raise ValueError("need at least 3 background points per cloud")
     if rng is None:
         rng = np.random.default_rng(0)
     if slack_d0 is None:
         slack_d0 = 2.0 * tau
-
-    sample_x = bg_x.select(rng.choice(len(bg_x), size=min(n_sample, len(bg_x)), replace=False))
-    sample_y = bg_y.select(rng.choice(len(bg_y), size=min(n_sample, len(bg_y)), replace=False))
+    sample_x, sample_y = _draw_ego_samples(
+        bg_x, bg_y, np.arange(len(bg_x)), np.arange(len(bg_y)), n_sample, rng
+    )
     # Release the full clouds before the transport runs; they are freed here
     # when the caller passed them as temporaries.
     del bg_x, bg_y
+    return _fit_ego(sample_x, sample_y, tau, slack_d0, iterations)
 
+
+def _draw_ego_samples(
+    x: PointCloud,
+    y: PointCloud,
+    rows_x: np.ndarray,
+    rows_y: np.ndarray,
+    n_sample: int,
+    rng: np.random.Generator,
+) -> tuple[PointCloud, PointCloud]:
+    """`estimate_ego_motion`'s samples of the rows `rows_x` of `x` and `rows_y`
+    of `y`: up to `n_sample` a side without replacement, x drawn first. Only
+    the points and features the fit reads are gathered, and only for the
+    sampled rows, so a caller holding whole clouds passes row indices rather
+    than copies of the selections."""
+    if len(rows_x) < 3 or len(rows_y) < 3:
+        raise ValueError("need at least 3 background points per cloud")
+    samples = []
+    for pc, rows in ((x, rows_x), (y, rows_y)):
+        picked = rows[rng.choice(len(rows), size=min(n_sample, len(rows)), replace=False)]
+        samples.append(PointCloud(pc.points[picked], features=pc.features[picked]))
+    return samples[0], samples[1]
+
+
+def _fit_ego(
+    sample_x: PointCloud, sample_y: PointCloud, tau: float, slack_d0: float, iterations: int
+) -> RigidTransform:
+    """`estimate_ego_motion` on drawn samples: the slack transport, then the
+    weighted Kabsch fit on its soft correspondences."""
     matched, weights = pruned_soft_correspondences(
         sample_x, sample_y, tau, slack_logit=-slack_d0 / tau, iterations=iterations
     )

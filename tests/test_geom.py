@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -262,6 +263,39 @@ def test_kdtree_is_built_once_and_matches_a_fresh_tree(rng):
     tree = pc.kdtree
     assert pc.kdtree is tree
     _assert_same_queries(tree, pc.points, rng.normal(size=(50, 3)))
+
+
+def test_kdtree_builds_of_two_clouds_overlap(monkeypatch, rng):
+    # Each build waits until the other cloud's build has started too, which
+    # fails if one build holds a lock that the other needs.
+    import rigidflow.geom
+
+    barrier = threading.Barrier(2, timeout=5.0)
+
+    def tree_after_barrier(points):
+        barrier.wait()
+        return cKDTree(points)
+
+    monkeypatch.setattr(rigidflow.geom, "cKDTree", tree_after_barrier)
+    clouds = [PointCloud(rng.normal(size=(50, 3))) for _ in range(2)]
+    errors = []
+
+    def build(pc):
+        try:
+            pc.kdtree
+        except threading.BrokenBarrierError as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=build, args=(pc,)) for pc in clouds]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert errors == []
+    for pc in clouds:
+        assert pc.kdtree is pc.kdtree
+        _assert_same_queries(pc.kdtree, pc.points, rng.normal(size=(20, 3)))
 
 
 @pytest.mark.parametrize(

@@ -115,6 +115,33 @@ def test_preprocess_equals_two_step_select(rng, n, extent, changes, seeded):
         assert np.array_equal(got_a, want_a), f.name
 
 
+@pytest.mark.parametrize(
+    "changes, whole",
+    [
+        ({}, True),  # every point in range, under the budget
+        ({"max_points": 300}, True),  # exactly at the budget
+        ({"range_cutoff": 6.0}, False),  # range cut
+        ({"remove_ground": True, "ground_removal_y": 0.0}, False),  # ground cut
+        ({"max_points": 299}, False),  # subsample
+    ],
+)
+def test_preprocess_returns_a_whole_cloud_uncopied(rng, changes, whole):
+    pc = PointCloud(
+        rng.uniform(-5.0, 5.0, size=(300, 3)),
+        features=rng.normal(size=(300, 4)),
+        fg_prob=rng.uniform(size=300),
+    )
+    cfg = dataclasses.replace(PipelineConfig(), **changes)
+    gen = np.random.default_rng(7)
+    state = gen.bit_generator.state
+    out = preprocess(pc, cfg, gen)
+    assert (out is pc) == whole
+    if whole:
+        assert gen.bit_generator.state == state
+    else:
+        assert len(out) < len(pc)
+
+
 def test_preprocess_insufficient_points_as_two_step(rng):
     pts = np.vstack([rng.uniform(-1.0, 1.0, size=(2, 3)), rng.uniform(50.0, 60.0, size=(5000, 3))])
     cfg = dataclasses.replace(PipelineConfig(), max_points=100)
@@ -566,7 +593,7 @@ def _raiser(message, delay=0.0):
 def test_background_error_takes_precedence(monkeypatch, bg_delay, fg_delay):
     x, y, cfg, _ = _inputs("default")
     baseline = threading.active_count()
-    monkeypatch.setattr(pipeline, "estimate_ego_motion", _raiser("background failed", bg_delay))
+    monkeypatch.setattr(pipeline, "_fit_ego", _raiser("background failed", bg_delay))
     monkeypatch.setattr(pipeline, "soft_flow", _raiser("foreground failed", fg_delay))
     with pytest.raises(ValueError, match="background failed"):
         infer_rigid_flow(x, y, cfg, refine=True)
@@ -581,6 +608,60 @@ def test_foreground_error_surfaces(monkeypatch, fg_delay):
     with pytest.raises(ValueError, match="foreground failed"):
         infer_rigid_flow(x, y, cfg, refine=True)
     assert threading.active_count() == baseline
+
+
+def _spy_on_plan(monkeypatch):
+    """The thread of every `plan_transfer` call the pipeline makes, in order."""
+    threads = []
+    real = pipeline.plan_transfer
+
+    def spy(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "plan_transfer", spy)
+    return threads
+
+
+def _delayed(fn, delay):
+    def run_after_delay(*args, **kwargs):
+        time.sleep(delay)
+        return fn(*args, **kwargs)
+
+    return run_after_delay
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("slow_branch", ["_background", "_foreground"])
+def test_transfer_plan_runs_once_on_the_first_free_thread(monkeypatch, slow_branch, refine):
+    x, y, cfg, rng = _inputs("default")
+    state = rng.bit_generator.state
+    baseline = threading.active_count()
+    threads = _spy_on_plan(monkeypatch)
+    monkeypatch.setattr(pipeline, slow_branch, _delayed(getattr(pipeline, slow_branch), 0.5))
+    got = infer_rigid_flow(x, y, cfg, refine=refine, rng=rng)
+    assert threading.active_count() == baseline
+    assert len(threads) == 1
+    # the calling thread plans when the background keeps the worker busy
+    assert (threads[0] == threading.get_ident()) == (slow_branch == "_background")
+    rng.bit_generator.state = state
+    _assert_same_result(got, reference_infer(x, y, cfg, refine=refine, rng=rng))
+
+
+@pytest.mark.parametrize("bg_delay", [0.0, 0.5])
+def test_transfer_plan_dropped_when_the_foreground_raises(monkeypatch, bg_delay):
+    x, y, cfg, _ = _inputs("default")
+    baseline = threading.active_count()
+    threads = _spy_on_plan(monkeypatch)
+    monkeypatch.setattr(pipeline, "_background", _delayed(pipeline._background, bg_delay))
+    monkeypatch.setattr(pipeline, "soft_flow", _raiser("foreground failed"))
+    with pytest.raises(ValueError, match="foreground failed"):
+        infer_rigid_flow(x, y, cfg, refine=True)
+    assert threading.active_count() == baseline
+    if bg_delay:  # still queued behind the background when the foreground raised
+        assert threads == []
+    else:  # never on the calling thread, at most once on the worker
+        assert threading.get_ident() not in threads and len(threads) <= 1
 
 
 def test_worker_thread_joined_after_success():
@@ -623,8 +704,9 @@ def test_concurrent_callers_match_sequential_calls():
 
 
 def test_ego_motion_releases_full_background_before_assignment():
-    # The pipeline passes the background selections as temporaries; the full
-    # clouds (2 x 2.7 MiB here) are freed before the ego transport runs.
+    # Background selections passed as temporaries (2 x 2.7 MiB here) are freed
+    # before the ego transport runs: the peak is 6.5 MiB, and 12 MiB if they
+    # were held through it.
     rng = np.random.default_rng(1)
     n = 10_000
     f = rng.normal(size=(n, 32))
@@ -640,4 +722,4 @@ def test_ego_motion_releases_full_background_before_assignment():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 9 * 2**20
