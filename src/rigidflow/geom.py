@@ -325,11 +325,10 @@ class TransferPlan:
         v = voxel_flow.vectors
         out = np.empty((self.n_points, 3))
         out[self.own_rows] = v[self.own_voxels]
-        if len(self.rest_rows):
-            flows = v[self.neighbors]  # (n, k, 3)
-            interp = (self.weights[:, :, None] * flows).sum(axis=1) / self.weight_sums[:, None]
-            interp[self.exact] = v[self.neighbors[self.exact, 0]]
-            out[self.rest_rows] = interp
+        flows = v[self.neighbors]  # (n, k, 3)
+        interp = (self.weights[:, :, None] * flows).sum(axis=1) / self.weight_sums[:, None]
+        interp[self.exact] = v[self.neighbors[self.exact, 0]]
+        out[self.rest_rows] = interp
         return FlowField(out)
 
 
