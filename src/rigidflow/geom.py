@@ -304,8 +304,7 @@ class TransferPlan:
     `own_rows` take their own voxel `own_voxels` flow by lookup. Each of the
     other points, `rest_rows`, blends the flows of its `neighbors` (k nearest
     voxel centers) with the inverse-distance `weights`, which sum to
-    `weight_sums`; an `exact` row sits on its nearest center and takes that
-    center's flow. Build one with `plan_transfer`.
+    `weight_sums`. Build one with `plan_transfer`.
     """
 
     n_points: int
@@ -316,7 +315,6 @@ class TransferPlan:
     neighbors: np.ndarray
     weights: np.ndarray
     weight_sums: np.ndarray
-    exact: np.ndarray
 
     def apply(self, voxel_flow: FlowField) -> FlowField:
         """The per-point flow: lookups, then the weighted sums of the rest."""
@@ -327,7 +325,6 @@ class TransferPlan:
         out[self.own_rows] = v[self.own_voxels]
         flows = v[self.neighbors]  # (n, k, 3)
         interp = (self.weights[:, :, None] * flows).sum(axis=1) / self.weight_sums[:, None]
-        interp[self.exact] = v[self.neighbors[self.exact, 0]]
         out[self.rest_rows] = interp
         return FlowField(out)
 
@@ -364,17 +361,19 @@ def plan_transfer(grid: VoxelGrid, original: PointCloud, k: int = 3) -> Transfer
         dist, idx = np.empty(0), np.empty(0, dtype=np.intp)
     dist = dist.reshape(len(rest), k_eff)
     idx = idx.reshape(len(rest), k_eff)
-    w = 1.0 / np.where(dist == 0.0, 1.0, dist)  # exact rows are overwritten by apply
+    # A queried point on its nearest center takes that center's flow by lookup
+    # too; every distance left is positive, as the distances are sorted.
+    exact = dist[:, 0] == 0.0
+    w = 1.0 / dist[~exact]
     return TransferPlan(
         n_points=len(original),
         n_voxels=len(centers),
-        own_rows=hit,
-        own_voxels=own[hit],
-        rest_rows=rest,
-        neighbors=idx,
+        own_rows=np.concatenate((hit, rest[exact])),
+        own_voxels=np.concatenate((own[hit], idx[exact, 0])),
+        rest_rows=rest[~exact],
+        neighbors=idx[~exact],
         weights=w,
         weight_sums=w.sum(axis=1),
-        exact=dist[:, 0] == 0.0,
     )
 
 

@@ -12,7 +12,9 @@ After the foreground split the two branches read nothing of each other's
 results, so each call runs them side by side on two threads: the background
 (ego-motion, and its ICP when refining) on one worker thread, the foreground
 (DBSCAN, soft flow, cluster fits, and their ICP when refining) on the calling
-thread. The transfer's plan (own-voxel lookups, k-NN query and weights) reads
+thread. Each step is one call into the module that owns it: the ego-motion
+is `rigidfit.estimate_ego_motion` on the voxel clouds and their background
+masks, and the soft flow is `transport.soft_flow`. The transfer's plan (own-voxel lookups, k-NN query and weights) reads
 no flow, so it runs on whichever of the two threads finishes its branch
 first: the calling thread when the ego-motion is the longer branch, the
 worker when the foreground is. After the join only the plan's weighted sums
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import ClusterLabeling, dbscan
-from .flowhead import soft_flow
 from .geom import (
     FlowField,
     PointCloud,
@@ -44,7 +45,8 @@ from .geom import (
     voxelize,
 )
 from .refine import IcpConfig, refine_clusters, refine_ego
-from .rigidfit import _draw_ego_samples, _fit_ego, fit_cluster_transform
+from .rigidfit import estimate_ego_motion, fit_cluster_transform
+from .transport import soft_flow
 
 __all__ = [
     "PipelineConfig",
@@ -156,14 +158,12 @@ class PipelineConfig:
             raise ValueError("ego_sample_size must be at least 3")
         if self.interp_k < 1:
             raise ValueError("interp_k must be at least 1")
-        if self.slack_d0 is not None and self.slack_d0 <= 0:
+        if self.slack_d0 is not None and not self.slack_d0 > 0:
             raise ValueError("slack_d0 must be positive when set")
+        if np.isnan(self.ground_removal_y):
+            raise ValueError("ground_removal_y must not be NaN")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-    @property
-    def resolved_slack_d0(self) -> float:
-        return self.slack_d0 if self.slack_d0 is not None else 2.0 * self.tau_ego
 
     def to_flat_dict(self) -> dict:
         """Flatten to string key/value pairs (nested ICP configs get dotted keys)."""
@@ -301,12 +301,17 @@ def _background(
     rng: np.random.Generator,
 ) -> tuple[RigidTransform, bool]:
     """Ego-motion from the background voxels, ICP-refined when `refine`."""
-    # Sampled by row index: only the drawn rows are gathered, not the whole
-    # background with every attribute.
-    sample_x, sample_y = _draw_ego_samples(
-        vx, vy, np.flatnonzero(bg_mask_x), np.flatnonzero(bg_mask_y), cfg.ego_sample_size, rng
+    ego = estimate_ego_motion(
+        vx,
+        vy,
+        bg_mask_x,
+        bg_mask_y,
+        tau=cfg.tau_ego,
+        n_sample=cfg.ego_sample_size,
+        slack_d0=cfg.slack_d0,
+        iterations=cfg.sinkhorn_iterations,
+        rng=rng,
     )
-    ego = _fit_ego(sample_x, sample_y, cfg.tau_ego, cfg.resolved_slack_d0, cfg.sinkhorn_iterations)
     ego_refined = False
     if refine:
         # ICP reads coordinates only; selecting features too would copy them.

@@ -34,11 +34,11 @@ class IcpConfig:
     convergence_epsilon: float = 1e-6
 
     def __post_init__(self):
-        if self.max_correspondence_distance <= 0:
+        if not self.max_correspondence_distance > 0:  # NaN is not positive either
             raise ValueError("max_correspondence_distance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.convergence_epsilon <= 0:
+        if not self.convergence_epsilon > 0:
             raise ValueError("convergence_epsilon must be positive")
 
 

@@ -2,9 +2,11 @@
 
 `weighted_kabsch` solves argmin_{R,t} sum_l w_l ||R x_l + t - q_l||^2 via a
 weighted covariance and an SVD with a determinant correction that rules out
-reflections. `estimate_ego_motion` feeds it soft correspondences from the
-slack Sinkhorn transport; `fit_cluster_transform` feeds it a cluster's flow
-vectors with uniform weights.
+reflections. `estimate_ego_motion` is the pipeline's one ego-motion step: it
+samples the background rows of both clouds and feeds the fit the soft
+correspondences of the slack Sinkhorn transport. `fit_cluster_transform`
+feeds it a cluster's flow vectors with uniform weights. `refine` reuses the
+unchecked solve `_kabsch` inside its ICP loop.
 """
 
 from __future__ import annotations
@@ -92,68 +94,48 @@ def _kabsch(src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> RigidTransform:
 
 
 def estimate_ego_motion(
-    bg_x: PointCloud,
-    bg_y: PointCloud,
-    tau: float = 0.1,
-    n_sample: int = 1024,
-    slack_d0: float | None = None,
-    iterations: int = 3,
-    rng: np.random.Generator | None = None,
-) -> RigidTransform:
-    """Rigid motion mapping the source background onto the target background.
-
-    Samples up to `n_sample` points per side without replacement (all points
-    when fewer exist), matches them by the soft assignment at temperature
-    `tau` with slack at exp(-slack_d0 / tau) (slack_d0 defaults to 2 tau, i.e.
-    slack competes like a match at distance 2 tau) and `iterations` Sinkhorn
-    sweeps, and fits a weighted Kabsch on the soft correspondences, weighting
-    each row by the mass it kept from slack. The transport runs on the pruned
-    sparse plan of `pruned_soft_correspondences`, which agrees with the dense
-    `soft_assignment` to rounding but holds only the entries within float64
-    reach of their row's best match.
-    """
-    if bg_x.features is None or bg_y.features is None:
-        raise ValueError("both clouds need feature attributes")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if slack_d0 is None:
-        slack_d0 = 2.0 * tau
-    sample_x, sample_y = _draw_ego_samples(
-        bg_x, bg_y, np.arange(len(bg_x)), np.arange(len(bg_y)), n_sample, rng
-    )
-    # Release the full clouds before the transport runs; they are freed here
-    # when the caller passed them as temporaries.
-    del bg_x, bg_y
-    return _fit_ego(sample_x, sample_y, tau, slack_d0, iterations)
-
-
-def _draw_ego_samples(
     x: PointCloud,
     y: PointCloud,
-    rows_x: np.ndarray,
-    rows_y: np.ndarray,
+    bg_mask_x: np.ndarray,
+    bg_mask_y: np.ndarray,
+    *,
+    tau: float,
     n_sample: int,
+    slack_d0: float | None,
+    iterations: int,
     rng: np.random.Generator,
-) -> tuple[PointCloud, PointCloud]:
-    """`estimate_ego_motion`'s samples of the rows `rows_x` of `x` and `rows_y`
-    of `y`: up to `n_sample` a side without replacement, x drawn first. Only
-    the points and features the fit reads are gathered, and only for the
-    sampled rows, so a caller holding whole clouds passes row indices rather
-    than copies of the selections."""
+) -> RigidTransform:
+    """Rigid motion mapping the background of `x` onto the background of `y`.
+
+    Draws up to `n_sample` rows per side without replacement from the rows
+    that `bg_mask_x` / `bg_mask_y` select (all of them when fewer exist), x
+    first, and gathers only the drawn rows' points and features, so the
+    whole background is never copied. It matches them by the soft
+    assignment at temperature `tau` with slack at exp(-slack_d0 / tau)
+    (`slack_d0=None` means 2 tau, i.e. slack competes like a match at
+    distance 2 tau) and `iterations` Sinkhorn sweeps, and fits a weighted
+    Kabsch on the soft correspondences, weighting each row by the mass it
+    kept from slack. The transport runs on the pruned sparse plan of
+    `pruned_soft_correspondences`, which agrees with the dense
+    `soft_assignment` to rounding but holds only the entries within float64
+    reach of their row's best match.
+
+    Raises:
+        ValueError: if either cloud lacks features, either mask selects fewer
+            than 3 rows, or the transport or the fit degenerates.
+    """
+    if x.features is None or y.features is None:
+        raise ValueError("both clouds need feature attributes")
+    rows_x, rows_y = np.flatnonzero(bg_mask_x), np.flatnonzero(bg_mask_y)
     if len(rows_x) < 3 or len(rows_y) < 3:
         raise ValueError("need at least 3 background points per cloud")
     samples = []
     for pc, rows in ((x, rows_x), (y, rows_y)):
         picked = rows[rng.choice(len(rows), size=min(n_sample, len(rows)), replace=False)]
         samples.append(PointCloud(pc.points[picked], features=pc.features[picked]))
-    return samples[0], samples[1]
-
-
-def _fit_ego(
-    sample_x: PointCloud, sample_y: PointCloud, tau: float, slack_d0: float, iterations: int
-) -> RigidTransform:
-    """`estimate_ego_motion` on drawn samples: the slack transport, then the
-    weighted Kabsch fit on its soft correspondences."""
+    sample_x, sample_y = samples
+    if slack_d0 is None:
+        slack_d0 = 2.0 * tau
     matched, weights = pruned_soft_correspondences(
         sample_x, sample_y, tau, slack_logit=-slack_d0 / tau, iterations=iterations
     )

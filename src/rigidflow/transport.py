@@ -1,4 +1,5 @@
-"""Slack-augmented soft assignment between two feature sets.
+"""Slack-augmented soft assignment between two feature sets, and the soft
+flow that streams the same kernel.
 
 `soft_assignment` builds the row-normalized matching exp(-||f_i - g_j|| / tau),
 optionally against a slack row/column and refined by Sinkhorn sweeps, and
@@ -14,16 +15,16 @@ The two consumers run this one matching in the form their temperature suits:
   best match, so it keeps those in a sparse plan and never holds the dense
   (N+1) x (M+1) matrix, with a proven bound on what the dropped entries move.
 - The flow head (no slack, one row sweep, i.e. a plain softmax, tau_flow =
-  0.1) has every entry within reach, so `flowhead.soft_flow` streams the dense
-  rows block by block without holding the matrix.
+  0.1) has every entry within reach, so `soft_flow` streams the dense rows
+  block by block without holding the matrix.
 
 The dense `soft_assignment`, `sinkhorn` and `soft_correspondences` stay the
-public form, and the reference the pruned form is tested against. Both
+public form, and the reference the pruned form is tested against. All
 forms fill their logits `_BLOCK_ROWS` rows at a time, so the elementwise
-passes after each block's matrix product run in cache, and run the sweeps
-in scaling form (Cuturi 2013): they update one row-scale and one
-column-scale vector with read-only matrix-vector products, and the dense
-matrix is scaled once at the end.
+passes after each block's matrix product run in cache, and the two with
+sweeps run them in scaling form (Cuturi 2013): they update one row-scale
+and one column-scale vector with read-only matrix-vector products, and the
+dense matrix is scaled once at the end.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-from .geom import PointCloud
+from .geom import FlowField, PointCloud
 
 __all__ = [
     "AssignmentMatrix",
@@ -41,6 +42,7 @@ __all__ = [
     "sinkhorn",
     "soft_correspondences",
     "pruned_soft_correspondences",
+    "soft_flow",
 ]
 
 # Rows per block of the logit fill: 64 rows of ~2000 float64 columns is about
@@ -371,3 +373,38 @@ def pruned_soft_correspondences(
     acc = plan @ (targets * c[:, None])
     acc *= r[:, None]
     return _matches(acc, source)
+
+
+def soft_flow(x: PointCloud, y: PointCloud, tau_flow: float) -> FlowField:
+    """Soft-correspondence flow: row-softmax of -||f_i - g_j|| / tau over targets.
+
+    Each source point is matched to a softmax-weighted combination of target
+    points in feature space, and its flow is the displacement to that
+    combination: flow_i = sum_j softmax_j(-||f_i - g_j|| / tau) y_j - x_i.
+    Small tau approaches hard nearest-feature matching; large tau blends
+    targets. The weights are those of `soft_assignment` without slack and
+    with a single row sweep, but each block of rows of exp(L - max L) is
+    reduced against [y | 1] as soon as it is filled, and matched point i is
+    the first three entries of its row over the fourth; no N x M array is
+    allocated. No learned refinement runs on top of this.
+
+    Raises:
+        ValueError: if tau_flow <= 0, either cloud lacks features, their
+            feature dimensions differ, or `y` is empty ("degenerate affinity").
+    """
+    if x.features is None or y.features is None:
+        raise ValueError("both clouds need feature attributes")
+    a, b = _logit_operands(x.features, y.features, tau_flow)
+    n, m = len(a), b.shape[1]
+    targets = np.ones((m, 4))
+    targets[:, :3] = y.points
+    block = np.empty((min(n, _BLOCK_ROWS), m))
+    acc = np.empty((n, 4))
+    for i in range(0, n, _BLOCK_ROWS):
+        rows = block[: min(n - i, _BLOCK_ROWS)]
+        _exp_logits(rows, a[i : i + _BLOCK_ROWS], b, None)
+        np.matmul(rows, targets, out=acc[i : i + _BLOCK_ROWS])
+    mass = acc[:, 3:]
+    if not np.all(mass > 0):
+        raise ValueError("degenerate affinity")
+    return FlowField(acc[:, :3] / mass - x.points)

@@ -151,6 +151,11 @@ def test_flow_config_unknown_key_exits_2(tmp_path, capsys, key):
         ("fg_threshold = 1.5", "fg_threshold"),
         ("icp_fg.max_iterations = 0", "max_iterations"),
         ("seed = -1", "seed"),
+        # NaN fails every comparison, so a `value <= 0` check lets it through
+        ("slack_d0 = nan", "slack_d0"),
+        ("icp_fg.max_correspondence_distance = nan", "max_correspondence_distance"),
+        ("icp_bg.convergence_epsilon = nan", "convergence_epsilon"),
+        ("remove_ground = true\nground_removal_y = nan", "ground_removal_y"),
     ],
 )
 def test_flow_config_invalid_value_exits_2(tmp_path, capsys, line, name):

@@ -3,9 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rigidflow.flowhead import soft_flow
 from rigidflow.geom import PointCloud
-from rigidflow.transport import _BLOCK_ROWS, soft_assignment, soft_correspondences
+from rigidflow.transport import _BLOCK_ROWS, soft_assignment, soft_correspondences, soft_flow
 
 
 def _cloud(points, features):

@@ -1,5 +1,6 @@
 """The package's module import graph: no cycles, `io` is a leaf above `geom`,
-and `energy` is a leaf that no other module imports."""
+`energy` is a leaf that no other module imports, and private names stay in
+their module."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -48,3 +49,24 @@ def test_no_package_module_imports_energy():
     # the objective terms are training losses; inference and the CLI read
     # none of them, and only the package root re-exports them for demos
     assert [name for name, deps in _import_graph().items() if "energy" in deps] == []
+
+
+def _private_imports() -> set:
+    """(importer, module, name) for every `from .<module> import _<name>`."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found.update(
+                    (path.stem, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    return found
+
+
+def test_only_refine_imports_a_private_name():
+    # each step has one owner: a module that needs another's internals is one
+    # module split in two. ICP's inner loop calls the Kabsch solve on weights
+    # it built itself, skipping the checks `weighted_kabsch` makes.
+    assert _private_imports() == {("refine", "rigidfit", "_kabsch")}

@@ -10,7 +10,6 @@ from scipy import stats
 
 from rigidflow import pipeline
 from rigidflow.cluster import dbscan
-from rigidflow.flowhead import soft_flow
 from rigidflow.geom import FlowField, PointCloud, RigidTransform, transfer_flow_to_points, voxelize
 from rigidflow.metrics import ego_metrics, flow_metrics
 from rigidflow.pipeline import (
@@ -25,6 +24,7 @@ from rigidflow.pipeline import (
 from rigidflow.refine import IcpConfig, refine_clusters, refine_ego
 from rigidflow.rigidfit import estimate_ego_motion, fit_cluster_transform
 from rigidflow.synthetic import SceneSpec, generate_scene
+from rigidflow.transport import soft_flow
 
 
 def run_scene(scene, cfg, refine=True):
@@ -428,11 +428,13 @@ def reference_infer(x, y, cfg, refine=False, rng=None):
     if not bg_mask_x.any() or not bg_mask_y.any():
         raise ValueError("no background")
     ego = estimate_ego_motion(
-        vx.select(bg_mask_x),
-        vy.select(bg_mask_y),
+        vx,
+        vy,
+        bg_mask_x,
+        bg_mask_y,
         tau=cfg.tau_ego,
         n_sample=cfg.ego_sample_size,
-        slack_d0=cfg.resolved_slack_d0,
+        slack_d0=cfg.slack_d0,
         iterations=cfg.sinkhorn_iterations,
         rng=rng,
     )
@@ -593,7 +595,7 @@ def _raiser(message, delay=0.0):
 def test_background_error_takes_precedence(monkeypatch, bg_delay, fg_delay):
     x, y, cfg, _ = _inputs("default")
     baseline = threading.active_count()
-    monkeypatch.setattr(pipeline, "_fit_ego", _raiser("background failed", bg_delay))
+    monkeypatch.setattr(pipeline, "estimate_ego_motion", _raiser("background failed", bg_delay))
     monkeypatch.setattr(pipeline, "soft_flow", _raiser("foreground failed", fg_delay))
     with pytest.raises(ValueError, match="background failed"):
         infer_rigid_flow(x, y, cfg, refine=True)
@@ -703,10 +705,10 @@ def test_concurrent_callers_match_sequential_calls():
         sys.setswitchinterval(interval)
 
 
-def test_ego_motion_releases_full_background_before_assignment():
-    # Background selections passed as temporaries (2 x 2.7 MiB here) are freed
-    # before the ego transport runs: the peak is 6.5 MiB, and 12 MiB if they
-    # were held through it.
+def test_ego_motion_gathers_only_the_sampled_rows():
+    # All-true masks over 10k points with 32-D features: the sampled rows are
+    # gathered, never the whole background (2 x 2.7 MiB here). The peak is
+    # 6.6 MiB, and 12.1 MiB if the whole-background selections were held.
     rng = np.random.default_rng(1)
     n = 10_000
     f = rng.normal(size=(n, 32))
@@ -716,10 +718,33 @@ def test_ego_motion_releases_full_background_before_assignment():
     tracemalloc.start()
     try:
         estimate_ego_motion(
-            cloud.select(mask), cloud.select(mask), tau=0.005, n_sample=1024,
+            cloud, cloud, mask, mask, tau=0.005, n_sample=1024, slack_d0=None, iterations=3,
             rng=np.random.default_rng(0),
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 9 * 2**20
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_background_branch_runs_estimate_ego_motion_with_the_config(monkeypatch, refine):
+    x, y, _, rng = _inputs("default")
+    cfg = PipelineConfig(
+        tau_ego=0.006, ego_sample_size=700, slack_d0=0.02, sinkhorn_iterations=4, seed=3
+    )
+    calls = []
+    real = pipeline.estimate_ego_motion
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "estimate_ego_motion", spy)
+    decomp, _ = infer_rigid_flow(x, y, cfg, refine=refine, rng=rng)
+    ((args, kwargs),) = calls
+    assert args[0] is decomp.voxel_x and args[1] is decomp.voxel_y
+    np.testing.assert_array_equal(args[2], decomp.bg_mask_x)
+    np.testing.assert_array_equal(args[3], decomp.bg_mask_y)
+    assert kwargs.pop("rng") is rng
+    assert kwargs == {"tau": 0.006, "n_sample": 700, "slack_d0": 0.02, "iterations": 4}

@@ -148,6 +148,15 @@ def _orthogonal_featured_cloud(rng, n):
     return PointCloud(pts, features=np.eye(n))
 
 
+# The ego step's arguments as these tests were calibrated: tau 0.1, every point
+# sampled up to 1024 a side, slack at 2 tau, three Sinkhorn sweeps.
+EGO_ARGS = dict(tau=0.1, n_sample=1024, slack_d0=None, iterations=3)
+
+
+def _everywhere(pc):
+    return np.ones(len(pc), dtype=bool)
+
+
 def _spy_on_assignment(monkeypatch):
     """Record every (matched, weights) the ego transport yields; `estimate_ego_motion`
     returns the transform alone."""
@@ -165,7 +174,8 @@ def _spy_on_assignment(monkeypatch):
 
 def test_ego_motion_identity_for_identical_clouds(rng):
     cloud = _orthogonal_featured_cloud(rng, 400)
-    t = estimate_ego_motion(cloud, cloud, rng=np.random.default_rng(0))
+    mask = _everywhere(cloud)
+    t = estimate_ego_motion(cloud, cloud, mask, mask, **EGO_ARGS, rng=np.random.default_rng(0))
     np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-6)
     np.testing.assert_allclose(t.translation, np.zeros(3), atol=1e-6)
 
@@ -175,7 +185,8 @@ def test_ego_motion_recovers_transform_with_oracle_features(rng, monkeypatch):
     t_gt = make_transform(rng, max_angle_deg=10.0, max_translation=2.0)
     moved = apply_transform(t_gt, cloud)
     seen = _spy_on_assignment(monkeypatch)
-    est = estimate_ego_motion(cloud, moved, rng=np.random.default_rng(1))
+    mask = _everywhere(cloud)
+    est = estimate_ego_motion(cloud, moved, mask, mask, **EGO_ARGS, rng=np.random.default_rng(1))
     ((_, rows),) = seen
     np.testing.assert_allclose(est.rotation, t_gt.rotation, atol=1e-6)
     np.testing.assert_allclose(est.translation, t_gt.translation, atol=1e-6)
@@ -195,7 +206,9 @@ def test_ego_motion_with_occlusion_outliers(rng):
     fresh = rng.normal(size=(len(occluded), 16))
     src_feats[occluded] = fresh / np.linalg.norm(fresh, axis=1, keepdims=True)
     src = PointCloud(src.points, features=src_feats)
-    est = estimate_ego_motion(src, tgt, rng=np.random.default_rng(2))
+    est = estimate_ego_motion(
+        src, tgt, _everywhere(src), _everywhere(tgt), **EGO_ARGS, rng=np.random.default_rng(2)
+    )
     angle = np.degrees(
         np.arccos(np.clip((np.trace(t_gt.rotation.T @ est.rotation) - 1) / 2, -1, 1))
     )
@@ -205,16 +218,18 @@ def test_ego_motion_with_occlusion_outliers(rng):
 
 def test_ego_motion_requires_features(rng):
     bare = PointCloud(rng.normal(size=(10, 3)))
+    mask = _everywhere(bare)
     with pytest.raises(ValueError, match="feature"):
-        estimate_ego_motion(bare, bare)
+        estimate_ego_motion(bare, bare, mask, mask, **EGO_ARGS, rng=np.random.default_rng(0))
 
 
 def test_ego_motion_uses_all_points_when_sample_exceeds(rng, monkeypatch):
     cloud = _featured_cloud(rng, n=50)
     t_gt = make_transform(rng, max_angle_deg=5.0, max_translation=0.5)
     seen = _spy_on_assignment(monkeypatch)
+    mask = _everywhere(cloud)
     est = estimate_ego_motion(
-        cloud, apply_transform(t_gt, cloud), n_sample=1024, rng=np.random.default_rng(3)
+        cloud, apply_transform(t_gt, cloud), mask, mask, **EGO_ARGS, rng=np.random.default_rng(3)
     )
     ((matched, _),) = seen
     assert len(matched) == 50
@@ -233,12 +248,61 @@ def test_ego_motion_transport_peaks_below_one_dense_plan():
     tgt = PointCloud(src.points[perm] + 1.0, features=f[perm] + 0.01 * rng.normal(size=f.shape))
     tracemalloc.start()
     try:
-        est = estimate_ego_motion(src, tgt, tau=0.005, n_sample=n, rng=np.random.default_rng(0))
+        mask = _everywhere(src)
+        est = estimate_ego_motion(
+            src, tgt, mask, mask, tau=0.005, n_sample=n, slack_d0=None, iterations=3,
+            rng=np.random.default_rng(0),
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
     np.testing.assert_allclose(est.translation, np.ones(3), atol=1e-6)
+
+
+def test_ego_motion_samples_only_the_masked_rows(rng, monkeypatch):
+    # the unmasked rows carry wild points and features: drawing one would
+    # put it among the transport's sources or targets
+    cloud = _orthogonal_featured_cloud(rng, 300)
+    t_gt = make_transform(rng, max_angle_deg=10.0, max_translation=2.0)
+    moved = apply_transform(t_gt, cloud)
+    mask = rng.random(300) < 0.5
+    wild = PointCloud(
+        np.where(mask[:, None], cloud.points, 1e6),
+        features=np.where(mask[:, None], cloud.features, 7.0),
+    )
+    seen = _spy_on_assignment(monkeypatch)
+    est = estimate_ego_motion(wild, moved, mask, mask, **EGO_ARGS, rng=np.random.default_rng(5))
+    ((matched, _),) = seen
+    assert len(matched) == mask.sum()
+    assert np.abs(matched.points).max() < 100.0
+    np.testing.assert_allclose(est.rotation, t_gt.rotation, atol=1e-6)
+    np.testing.assert_allclose(est.translation, t_gt.translation, atol=1e-6)
+
+
+def test_ego_motion_default_slack_is_two_tau(rng):
+    cloud = _featured_cloud(rng, n=200)
+    moved = apply_transform(make_transform(rng, max_angle_deg=5.0, max_translation=0.5), cloud)
+    mask = _everywhere(cloud)
+    got = [
+        estimate_ego_motion(
+            cloud, moved, mask, mask, tau=0.05, n_sample=1024, slack_d0=d0, iterations=3,
+            rng=np.random.default_rng(6),
+        )
+        for d0 in (None, 0.1)
+    ]
+    assert got[0].rotation.tobytes() == got[1].rotation.tobytes()
+    assert got[0].translation.tobytes() == got[1].translation.tobytes()
+
+
+def test_ego_motion_needs_three_masked_rows_a_side(rng):
+    cloud = _featured_cloud(rng, n=20)
+    mask = np.zeros(20, dtype=bool)
+    mask[:2] = True
+    with pytest.raises(ValueError, match="at least 3 background points"):
+        estimate_ego_motion(
+            cloud, cloud, _everywhere(cloud), mask, **EGO_ARGS, rng=np.random.default_rng(0)
+        )
 
 
 # ------------------------------------------------------- fit_cluster_transform
