@@ -49,10 +49,12 @@ bg = decomp.bg_mask_x
 refit = fit_cluster_transform(PointCloud(pts[bg]), FlowField(flow_v[bg]))
 print("background refit matches ego:", np.abs(refit.rotation - decomp.ego.rotation).max() < 1e-9)
 fg_idx = np.flatnonzero(~bg)
-for k, t in enumerate(decomp.cluster_transforms):
+for k, fit in enumerate(decomp.cluster_fits):
+    if not fit.fitted:
+        continue  # an unfitted cluster keeps the unconstrained flow
     sel = fg_idx[decomp.clusters.labels == k]
     refit = fit_cluster_transform(PointCloud(pts[sel]), FlowField(flow_v[sel]))
     print(
         f"cluster {k} refit matches its transform:",
-        np.abs(refit.rotation - t.rotation).max() < 1e-9,
+        np.abs(refit.rotation - fit.transform.rotation).max() < 1e-9,
     )

@@ -178,12 +178,12 @@ def cmd_flow(args: argparse.Namespace) -> int:
         pairs += _field_pairs("ego", ego_metrics(decomp.ego, gt_ego))
 
     pairs.append(("cluster.count", str(decomp.clusters.n_clusters)))
-    for k in range(decomp.clusters.n_clusters):
+    for k, (size, fit) in enumerate(zip(decomp.clusters.cluster_sizes, decomp.cluster_fits)):
         pairs += [
-            (f"cluster.{k}.size", str(decomp.clusters.cluster_sizes[k])),
-            (f"cluster.{k}.fitted", _flag(decomp.cluster_fitted[k])),
-            (f"cluster.{k}.refined", _flag(decomp.cluster_refined[k])),
-            (f"cluster.{k}.transform", transform_to_text(decomp.cluster_transforms[k])),
+            (f"cluster.{k}.size", str(size)),
+            (f"cluster.{k}.fitted", _flag(fit.fitted)),
+            (f"cluster.{k}.refined", _flag(fit.refined)),
+            (f"cluster.{k}.transform", transform_to_text(fit.transform)),
         ]
 
     try:

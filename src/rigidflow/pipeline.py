@@ -1,5 +1,5 @@
 """End-to-end inference: masks -> ego-motion -> clusters -> per-cluster fits
--> rigid flow assembly -> optional ICP refinement -> voxel-to-point transfer.
+-> optional ICP refinement -> rigid flow assembly -> voxel-to-point transfer.
 
 The pipeline consumes two preprocessed clouds that already carry per-point
 features and foreground probabilities (from any provider: the synthetic
@@ -8,19 +8,24 @@ estimates everything on the voxel clouds. The assembled rigid flow lives on
 the source voxels and is transferred back to the original points by
 inverse-distance interpolation at the very end.
 
+The scene is explained as rigid segments: the background, moved by the
+ego-motion, and one segment per cluster. Each segment's result is one
+`SegmentFit` (transform, fitted, refined), and assembly reads nothing else.
+
 After the foreground split the two branches read nothing of each other's
 results, so each call runs them side by side on two threads: the background
 (ego-motion, and its ICP when refining) on one worker thread, the foreground
 (DBSCAN, soft flow, cluster fits, and their ICP when refining) on the calling
 thread. Each step is one call into the module that owns it: the ego-motion
 is `rigidfit.estimate_ego_motion` on the voxel clouds and their background
-masks, and the soft flow is `transport.soft_flow`. The transfer's plan (own-voxel lookups, k-NN query and weights) reads
-no flow, so it runs on whichever of the two threads finishes its branch
-first: the calling thread when the ego-motion is the longer branch, the
-worker when the foreground is. After the join only the plan's weighted sums
-remain. The random generator is drawn from by the background branch alone and
-the branches share no mutable state, so the outputs are the same bytes as a
-sequential run whatever the scheduling.
+masks, the soft flow is `transport.soft_flow`, and the ICP of every segment
+is `refine.refine_segment`. The transfer's plan (own-voxel lookups, k-NN
+query and weights) reads no flow, so it runs on whichever of the two threads
+finishes its branch first: the calling thread when the ego-motion is the
+longer branch, the worker when the foreground is. After the join only the
+plan's weighted sums remain. The random generator is drawn from by the
+background branch alone and the branches share no mutable state, so the
+outputs are the same bytes as a sequential run whatever the scheduling.
 
 `preprocess` returns its input cloud itself when it keeps every point, so
 frames under the point budget are not copied.
@@ -44,12 +49,13 @@ from .geom import (
     plan_transfer,
     voxelize,
 )
-from .refine import IcpConfig, refine_clusters, refine_ego
+from .refine import IcpConfig, refine_segment
 from .rigidfit import estimate_ego_motion, fit_cluster_transform
 from .transport import soft_flow
 
 __all__ = [
     "PipelineConfig",
+    "SegmentFit",
     "SceneDecomposition",
     "preprocess",
     "infer_rigid_flow",
@@ -113,7 +119,8 @@ class PipelineConfig:
     outlier bin competes with real matches. Each `infer_rigid_flow` call
     uses two threads, one per branch, and its outputs do not depend on their
     scheduling: they are deterministic for a fixed `seed` on a fixed BLAS
-    build and thread count. Invalid values raise ValueError on construction.
+    build and thread count. Invalid values raise ValueError on construction;
+    `range_cutoff` and `slack_d0` may be inf (no cut, no slack).
     """
 
     voxel_size: float = 0.1
@@ -136,16 +143,11 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        positive = {
-            "voxel_size": self.voxel_size,
-            "range_cutoff": self.range_cutoff,
-            "dbscan_eps": self.dbscan_eps,
-            "tau_ego": self.tau_ego,
-            "tau_flow": self.tau_flow,
-        }
-        for name, value in positive.items():
-            if not value > 0:  # NaN is not positive either
-                raise ValueError(f"{name} must be positive")
+        for name in ("voxel_size", "dbscan_eps", "tau_ego", "tau_flow"):
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be positive and finite")
+        if not self.range_cutoff > 0:  # inf is no cut; NaN is not positive
+            raise ValueError("range_cutoff must be positive")
         if not 0.0 < self.fg_threshold < 1.0:
             raise ValueError("fg_threshold must be in (0, 1)")
         if self.max_points < 3:
@@ -194,37 +196,67 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
+class SegmentFit:
+    """The rigid motion inferred for one segment: the background or a cluster.
+
+    `transform` moves the segment's source voxels into the target frame.
+    A cluster whose fit failed is not `fitted`: its `transform` is an identity
+    placeholder and its voxels keep the unconstrained flow during assembly.
+    `refined` says whether ICP refined `transform`.
+    """
+
+    transform: RigidTransform
+    fitted: bool = True
+    refined: bool = False
+
+
+@dataclass(frozen=True)
 class SceneDecomposition:
     """Everything the pipeline inferred about one frame pair, at voxel level.
 
     Masks index the voxel clouds `voxel_x` / `voxel_y`, whose `fg_prob` holds
     the per-voxel foreground probabilities they were thresholded from.
     `clusters` labels the foreground voxels of the source in extraction
-    order; `cluster_transforms[k]` explains cluster k (identity placeholder
-    when `cluster_fitted[k]` is False, in which case the cluster falls back
-    to the unconstrained flow during assembly). `voxel_flow` is the
-    assembled per-voxel rigid flow, None until `assemble_rigid_flow` has run.
-    It holds results, not intermediates: no transport plan is kept.
+    order. `ego_fit` is the background's segment and `cluster_fits[k]`
+    cluster k's; `ego`, `ego_refined`, `cluster_transforms`, `cluster_fitted`
+    and `cluster_refined` are read-only views of their fields. `voxel_flow`
+    is the assembled per-voxel rigid flow, None until `assemble_rigid_flow`
+    has run. It holds results, not intermediates: no transport plan is kept.
     """
 
     bg_mask_x: np.ndarray
     bg_mask_y: np.ndarray
     clusters: ClusterLabeling
-    ego: RigidTransform
-    cluster_transforms: list
-    cluster_fitted: list
-    ego_refined: bool
-    cluster_refined: list
+    ego_fit: SegmentFit
+    cluster_fits: tuple[SegmentFit, ...]
     voxel_x: PointCloud
     voxel_y: PointCloud
     unconstrained_flow: FlowField
     voxel_flow: FlowField | None = None
 
     def __post_init__(self):
-        if len(self.cluster_transforms) != self.clusters.n_clusters:
-            raise ValueError("one transform per retained cluster required")
-        if len(self.cluster_fitted) != len(self.cluster_transforms):
-            raise ValueError("one fitted flag per cluster transform required")
+        if len(self.cluster_fits) != self.clusters.n_clusters:
+            raise ValueError("one fit per retained cluster required")
+
+    @property
+    def ego(self) -> RigidTransform:
+        return self.ego_fit.transform
+
+    @property
+    def ego_refined(self) -> bool:
+        return self.ego_fit.refined
+
+    @property
+    def cluster_transforms(self) -> tuple[RigidTransform, ...]:
+        return tuple(fit.transform for fit in self.cluster_fits)
+
+    @property
+    def cluster_fitted(self) -> tuple[bool, ...]:
+        return tuple(fit.fitted for fit in self.cluster_fits)
+
+    @property
+    def cluster_refined(self) -> tuple[bool, ...]:
+        return tuple(fit.refined for fit in self.cluster_fits)
 
 
 def preprocess(
@@ -278,16 +310,16 @@ def assemble_rigid_flow(decomp: SceneDecomposition) -> FlowField:
     pts = decomp.voxel_x.points
     out = np.zeros_like(pts)
     bg = decomp.bg_mask_x
-    out[bg] = decomp.ego.apply(pts[bg]) - pts[bg]
+    out[bg] = decomp.ego_fit.transform.apply(pts[bg]) - pts[bg]
     fg_index = np.flatnonzero(~bg)
     if len(fg_index) != len(decomp.unconstrained_flow):
         raise ValueError("unconstrained flow does not match foreground voxel count")
     out[fg_index] = decomp.unconstrained_flow.vectors
-    for k, (t, fitted) in enumerate(zip(decomp.cluster_transforms, decomp.cluster_fitted)):
-        if not fitted:
+    for k, fit in enumerate(decomp.cluster_fits):
+        if not fit.fitted:
             continue
         sel = fg_index[decomp.clusters.labels == k]
-        out[sel] = t.apply(pts[sel]) - pts[sel]
+        out[sel] = fit.transform.apply(pts[sel]) - pts[sel]
     return FlowField(out)
 
 
@@ -299,7 +331,7 @@ def _background(
     cfg: PipelineConfig,
     refine: bool,
     rng: np.random.Generator,
-) -> tuple[RigidTransform, bool]:
+) -> SegmentFit:
     """Ego-motion from the background voxels, ICP-refined when `refine`."""
     ego = estimate_ego_motion(
         vx,
@@ -312,13 +344,13 @@ def _background(
         iterations=cfg.sinkhorn_iterations,
         rng=rng,
     )
-    ego_refined = False
-    if refine:
-        # ICP reads coordinates only; selecting features too would copy them.
-        ego, ego_refined = refine_ego(
-            PointCloud(vx.points[bg_mask_x]), PointCloud(vy.points[bg_mask_y]), ego, cfg.icp_bg
-        )
-    return ego, ego_refined
+    if not refine:
+        return SegmentFit(ego)
+    # ICP reads coordinates only; selecting features too would copy them.
+    ego, refined = refine_segment(
+        PointCloud(vx.points[bg_mask_x]), PointCloud(vy.points[bg_mask_y]), ego, cfg.icp_bg
+    )
+    return SegmentFit(ego, refined=refined)
 
 
 def _foreground(
@@ -328,9 +360,12 @@ def _foreground(
     fg_mask_y: np.ndarray,
     cfg: PipelineConfig,
     refine: bool,
-) -> tuple[ClusterLabeling, FlowField, list, list, list]:
-    """Clusters, soft flow and per-cluster transforms of the foreground voxels,
-    the transforms ICP-refined when `refine`."""
+) -> tuple[ClusterLabeling, FlowField, tuple[SegmentFit, ...]]:
+    """Clusters, soft flow and one fit per cluster of the foreground voxels.
+
+    When `refine`, each fitted cluster is ICP-refined against the whole target
+    foreground (instance correspondence is unknown), all runs on its one KD-tree.
+    """
     fg_x = vx.select(fg_mask_x)
     fg_y = vy.select(fg_mask_y)
     clusters = dbscan(fg_x, cfg.dbscan_eps, cfg.dbscan_min_samples, cfg.dbscan_min_cluster_size)
@@ -340,25 +375,20 @@ def _foreground(
     else:
         unconstrained = FlowField(np.zeros((len(fg_x), 3)))
 
-    transforms: list[RigidTransform] = []
-    fitted: list[bool] = []
+    fits: list[SegmentFit] = []
     for k in range(clusters.n_clusters):
         sel = clusters.labels == k
+        pts = PointCloud(fg_x.points[sel])
         try:
-            transforms.append(
-                fit_cluster_transform(
-                    PointCloud(fg_x.points[sel]), FlowField(unconstrained.vectors[sel])
-                )
-            )
-            fitted.append(True)
+            transform = fit_cluster_transform(pts, FlowField(unconstrained.vectors[sel]))
         except ValueError:
-            transforms.append(RigidTransform.identity())
-            fitted.append(False)
-
-    refined = [False] * len(transforms)
-    if refine:
-        transforms, refined = refine_clusters(fg_x, fg_y, clusters, transforms, fitted, cfg.icp_fg)
-    return clusters, unconstrained, transforms, fitted, refined
+            fits.append(SegmentFit(RigidTransform.identity(), fitted=False))
+            continue
+        refined = False
+        if refine:
+            transform, refined = refine_segment(pts, fg_y, transform, cfg.icp_fg)
+        fits.append(SegmentFit(transform, refined=refined))
+    return clusters, unconstrained, tuple(fits)
 
 
 def infer_rigid_flow(
@@ -427,20 +457,17 @@ def infer_rigid_flow(
             background.result()
             raise
         plan = plan_transfer(grid_x, x, cfg.interp_k) if queued_plan.cancel() else None
-        ego, ego_refined = background.result()
+        ego_fit = background.result()
         if plan is None:
             plan = queued_plan.result()
-    clusters, unconstrained, transforms, fitted, refined = foreground
+    clusters, unconstrained, cluster_fits = foreground
 
     decomp = SceneDecomposition(
         bg_mask_x=bg_mask_x,
         bg_mask_y=bg_mask_y,
         clusters=clusters,
-        ego=ego,
-        cluster_transforms=transforms,
-        cluster_fitted=fitted,
-        ego_refined=ego_refined,
-        cluster_refined=refined,
+        ego_fit=ego_fit,
+        cluster_fits=cluster_fits,
         voxel_x=vx,
         voxel_y=vy,
         unconstrained_flow=unconstrained,

@@ -1,9 +1,10 @@
 """Test-time ICP refinement of the ego-motion and per-object transforms.
 
-`refine_ego` registers the source background onto the target background;
-`refine_clusters` registers each fitted cluster onto the whole target
-foreground. The pipeline calls each from its own branch and reassembles the
-flow itself, so this module knows nothing of the scene decomposition.
+`refine_segment` registers one rigid segment onto a target cloud: the
+source background onto the target background for the ego-motion, and each
+fitted cluster onto the whole target foreground. The pipeline calls it from
+each branch and reassembles the flow itself, so this module knows nothing of
+the scene decomposition.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import ClusterLabeling
 from .geom import PointCloud, RigidTransform, compose
 from .rigidfit import _kabsch
 
@@ -20,8 +20,7 @@ __all__ = [
     "IcpConfig",
     "IcpResult",
     "icp_refine",
-    "refine_ego",
-    "refine_clusters",
+    "refine_segment",
 ]
 
 
@@ -119,51 +118,17 @@ def icp_refine(
     return IcpResult(best_transform, best_rmse, len(history), False, tuple(history))
 
 
-def refine_ego(
-    bg_x: PointCloud, bg_y: PointCloud, initial: RigidTransform, cfg: IcpConfig
+def refine_segment(
+    source: PointCloud, target: PointCloud, initial: RigidTransform, cfg: IcpConfig
 ) -> tuple[RigidTransform, bool]:
-    """ICP of the source background onto the target background from `initial`.
+    """ICP of one segment's source points onto its target cloud from `initial`.
 
-    Returns the refined ego-motion and whether it was refined; `initial` comes
+    Returns the refined transform and whether it was refined; `initial` comes
     back unrefined when there are fewer than 3 source points, no target
     points, or no gated overlap.
     """
-    if len(bg_x) >= 3 and len(bg_y) > 0:
-        result = icp_refine(bg_x, bg_y, initial, cfg)
+    if len(source) >= 3 and len(target) > 0:
+        result = icp_refine(source, target, initial, cfg)
         if not result.no_overlap:
             return result.transform, True
     return initial, False
-
-
-def refine_clusters(
-    fg_x: PointCloud,
-    fg_y: PointCloud,
-    clusters: ClusterLabeling,
-    transforms: list,
-    fitted: list,
-    cfg: IcpConfig,
-) -> tuple[list, list]:
-    """ICP of every fitted cluster of `fg_x` onto the whole target foreground.
-
-    `clusters` labels the points of `fg_x`. Instance-level correspondence is
-    unknown, so each cluster registers against all of `fg_y`, and all runs
-    share its KD-tree. Returns the transforms and one refined flag per
-    cluster; clusters that are unfitted, have fewer than 3 points or no gated
-    overlap keep their input transforms.
-    """
-    transforms = list(transforms)
-    refined = [False] * len(transforms)
-    if len(fg_y) == 0:
-        return transforms, refined
-    for k, is_fitted in enumerate(fitted):
-        if not is_fitted:
-            continue
-        pts = PointCloud(fg_x.points[clusters.labels == k])
-        if len(pts) < 3:
-            continue
-        result = icp_refine(pts, fg_y, transforms[k], cfg)
-        if not result.no_overlap:
-            transforms[k] = result.transform
-            refined[k] = True
-    return transforms, refined
-

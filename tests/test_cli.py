@@ -156,6 +156,11 @@ def test_flow_config_unknown_key_exits_2(tmp_path, capsys, key):
         ("icp_fg.max_correspondence_distance = nan", "max_correspondence_distance"),
         ("icp_bg.convergence_epsilon = nan", "convergence_epsilon"),
         ("remove_ground = true\nground_removal_y = nan", "ground_removal_y"),
+        # inf passes a `value > 0` check but yields a wrong answer or exit 3
+        ("voxel_size = inf", "voxel_size"),
+        ("dbscan_eps = inf", "dbscan_eps"),
+        ("tau_ego = inf", "tau_ego"),
+        ("tau_flow = inf", "tau_flow"),
     ],
 )
 def test_flow_config_invalid_value_exits_2(tmp_path, capsys, line, name):

@@ -70,3 +70,9 @@ def test_only_refine_imports_a_private_name():
     # module split in two. ICP's inner loop calls the Kabsch solve on weights
     # it built itself, skipping the checks `weighted_kabsch` makes.
     assert _private_imports() == {("refine", "rigidfit", "_kabsch")}
+
+
+def test_refine_imports_only_geom_and_rigidfit():
+    # ICP registers one segment's points onto a target cloud; which points
+    # form a segment is the pipeline's business
+    assert _import_graph()["refine"] == {"geom", "rigidfit"}

@@ -15,13 +15,14 @@ from rigidflow.metrics import ego_metrics, flow_metrics
 from rigidflow.pipeline import (
     PipelineConfig,
     SceneDecomposition,
+    SegmentFit,
     assemble_rigid_flow,
     infer_rigid_flow,
     preprocess,
     with_height_mask,
     with_xyz_features,
 )
-from rigidflow.refine import IcpConfig, refine_clusters, refine_ego
+from rigidflow.refine import IcpConfig, refine_segment
 from rigidflow.rigidfit import estimate_ego_motion, fit_cluster_transform
 from rigidflow.synthetic import SceneSpec, generate_scene
 from rigidflow.transport import soft_flow
@@ -406,9 +407,18 @@ def test_config_flat_round_trip():
 
 def test_config_validation():
     # construction validates: an invalid config cannot exist
-    for name, value in (("fg_threshold", 1.5), ("voxel_size", 0.0), ("interp_k", 0), ("seed", -1)):
+    invalid = (
+        ("fg_threshold", 1.5), ("voxel_size", 0.0), ("interp_k", 0), ("seed", -1),
+        # an infinite scale or temperature runs, but to a wrong answer or a
+        # numerical failure
+        ("voxel_size", np.inf), ("dbscan_eps", np.inf), ("tau_ego", np.inf),
+        ("tau_flow", np.inf),
+    )
+    for name, value in invalid:
         with pytest.raises(ValueError, match=name):
             PipelineConfig(**{name: value})
+    # legal at inf: no range cut, no slack, and a ground height is any real
+    PipelineConfig(range_cutoff=np.inf, slack_d0=np.inf, ground_removal_y=np.inf)
 
 
 # ------------------------------------------- background / foreground overlap
@@ -444,34 +454,36 @@ def reference_infer(x, y, cfg, refine=False, rng=None):
         unconstrained = soft_flow(fg_x, fg_y, cfg.tau_flow)
     else:
         unconstrained = FlowField(np.zeros((len(fg_x), 3)))
-    transforms, fitted = [], []
+    ego_fit, cluster_fits = SegmentFit(ego), []
     for k in range(clusters.n_clusters):
         sel = clusters.labels == k
         try:
-            transforms.append(
-                fit_cluster_transform(
-                    PointCloud(fg_x.points[sel]), FlowField(unconstrained.vectors[sel])
+            cluster_fits.append(
+                SegmentFit(
+                    fit_cluster_transform(
+                        PointCloud(fg_x.points[sel]), FlowField(unconstrained.vectors[sel])
+                    )
                 )
             )
-            fitted.append(True)
         except ValueError:
-            transforms.append(RigidTransform.identity())
-            fitted.append(False)
-    ego_refined, refined = False, [False] * len(transforms)
+            cluster_fits.append(SegmentFit(RigidTransform.identity(), fitted=False))
     if refine:
-        ego, ego_refined = refine_ego(
+        ego, ego_refined = refine_segment(
             PointCloud(vx.points[bg_mask_x]), PointCloud(vy.points[bg_mask_y]), ego, cfg.icp_bg
         )
-        transforms, refined = refine_clusters(fg_x, fg_y, clusters, transforms, fitted, cfg.icp_fg)
+        ego_fit = SegmentFit(ego, refined=ego_refined)
+        for k, fit in enumerate(cluster_fits):
+            if fit.fitted:
+                transform, refined = refine_segment(
+                    PointCloud(fg_x.points[clusters.labels == k]), fg_y, fit.transform, cfg.icp_fg
+                )
+                cluster_fits[k] = SegmentFit(transform, refined=refined)
     decomp = SceneDecomposition(
         bg_mask_x=bg_mask_x,
         bg_mask_y=bg_mask_y,
         clusters=clusters,
-        ego=ego,
-        cluster_transforms=transforms,
-        cluster_fitted=fitted,
-        ego_refined=ego_refined,
-        cluster_refined=refined,
+        ego_fit=ego_fit,
+        cluster_fits=tuple(cluster_fits),
         voxel_x=vx,
         voxel_y=vy,
         unconstrained_flow=unconstrained,
@@ -502,6 +514,32 @@ def _result_bytes(decomp, flow):
     out += b"".join(_transform_bytes(t) for t in decomp.cluster_transforms)
     flags = [decomp.ego_refined, *decomp.cluster_fitted, *decomp.cluster_refined]
     return out + bytes(flags)
+
+
+def test_decomposition_requires_one_fit_per_cluster():
+    x, y, cfg, _ = _inputs("default")
+    decomp, _ = infer_rigid_flow(x, y, cfg)
+    assert decomp.clusters.n_clusters > 0
+    for fits in (decomp.cluster_fits[:-1], decomp.cluster_fits + (SegmentFit(decomp.ego),)):
+        with pytest.raises(ValueError, match="one fit per retained cluster"):
+            dataclasses.replace(decomp, cluster_fits=fits)
+
+
+def test_segment_views_read_the_records():
+    x, y, cfg, rng = _inputs("unfitted")
+    decomp, _ = infer_rigid_flow(x, y, cfg, refine=True, rng=rng)
+    fits = decomp.cluster_fits
+    assert False in decomp.cluster_fitted and True in decomp.cluster_refined
+    assert decomp.ego is decomp.ego_fit.transform
+    assert decomp.ego_refined is decomp.ego_fit.refined
+    assert all(t is fit.transform for t, fit in zip(decomp.cluster_transforms, fits, strict=True))
+    assert decomp.cluster_fitted == tuple(fit.fitted for fit in fits)
+    assert decomp.cluster_refined == tuple(fit.refined for fit in fits)
+    # an unfitted cluster is never refined and keeps the identity placeholder
+    for fit in fits:
+        if not fit.fitted:
+            assert not fit.refined
+            np.testing.assert_array_equal(fit.transform.matrix(), np.eye(4))
 
 
 def _assert_same_result(got, want):

@@ -15,7 +15,7 @@ from rigidflow.geom import (
     invert,
     rotation_about_axis,
 )
-from rigidflow.refine import IcpConfig, IcpResult, icp_refine, refine_clusters, refine_ego
+from rigidflow.refine import IcpConfig, IcpResult, icp_refine, refine_segment
 from rigidflow.rigidfit import WeightedCorrespondenceSet, weighted_kabsch
 
 from conftest import make_transform
@@ -290,9 +290,15 @@ def _scene(rng, ego, cluster_transforms, bg_n=600, cluster_pts=None):
 
 
 def _refine_clusters(scene, transforms):
-    return refine_clusters(
-        scene.fg_x, scene.fg_y, scene.clusters, transforms, [True] * len(transforms), ICP_FG
-    )
+    """`refine_segment` of each cluster onto the whole target foreground, as
+    the pipeline's foreground branch runs it: transforms and refined flags."""
+    results = [
+        refine_segment(
+            PointCloud(scene.fg_x.points[scene.clusters.labels == k]), scene.fg_y, t, ICP_FG
+        )
+        for k, t in enumerate(transforms)
+    ]
+    return [t for t, _ in results], [refined for _, refined in results]
 
 
 def test_refine_scene_fixed_point_on_perfect_inputs(rng):
@@ -300,7 +306,7 @@ def test_refine_scene_fixed_point_on_perfect_inputs(rng):
     t0 = make_transform(rng, max_angle_deg=5.0, max_translation=0.5)
     t1 = make_transform(rng, max_angle_deg=5.0, max_translation=0.5)
     scene = _scene(rng, ego, [t0, t1])
-    got_ego, _ = refine_ego(scene.bg_x, scene.bg_y, ego, ICP_BG)
+    got_ego, _ = refine_segment(scene.bg_x, scene.bg_y, ego, ICP_BG)
     transforms, _ = _refine_clusters(scene, [t0, t1])
     np.testing.assert_allclose(got_ego.rotation, ego.rotation, atol=1e-8)
     np.testing.assert_allclose(got_ego.translation, ego.translation, atol=1e-8)
@@ -314,7 +320,7 @@ def test_refine_scene_recovers_perturbed_ego(rng):
     t0 = make_transform(rng, max_angle_deg=5.0, max_translation=0.5)
     scene = _scene(rng, ego, [t0])
     perturbed = compose(_perturbation(rng, 1.0, 0.05), ego)
-    got, refined = refine_ego(scene.bg_x, scene.bg_y, perturbed, ICP_BG)
+    got, refined = refine_segment(scene.bg_x, scene.bg_y, perturbed, ICP_BG)
     assert refined
     angle = np.degrees(
         np.arccos(np.clip((np.trace(ego.rotation.T @ got.rotation) - 1) / 2, -1, 1))
@@ -338,6 +344,14 @@ def test_refine_scene_keeps_sparse_cluster_untouched(rng):
     assert transforms[1] is t_sparse
 
 
+def test_refine_segment_keeps_initial_without_enough_points(rng):
+    t = make_transform(rng, max_angle_deg=5.0, max_translation=0.5)
+    pts = rng.normal(size=(40, 3))
+    for source, target in ((pts[:2], t.apply(pts)), (pts, np.empty((0, 3)))):
+        got, refined = refine_segment(PointCloud(source), PointCloud(target), t, ICP_FG)
+        assert got is t and not refined
+
+
 def _three_cluster_scene(rng):
     ego = make_transform(rng, max_angle_deg=2.0, max_translation=0.3)
     ts = [make_transform(rng, max_angle_deg=4.0, max_translation=0.4) for _ in range(3)]
@@ -354,7 +368,7 @@ def test_refine_scene_builds_one_tree_per_target_cloud(rng, monkeypatch):
 
     monkeypatch.setattr(rigidflow.geom, "cKDTree", counting_tree)
     monkeypatch.setattr(rigidflow.refine, "cKDTree", counting_tree, raising=False)
-    _, ego_refined = refine_ego(scene.bg_x, scene.bg_y, ego, ICP_BG)
+    _, ego_refined = refine_segment(scene.bg_x, scene.bg_y, ego, ICP_BG)
     _, refined = _refine_clusters(scene, ts)
     assert ego_refined and all(refined)
     # one tree for the target background, one shared by the three cluster runs
@@ -373,7 +387,7 @@ def test_refine_scene_calls_icp_by_module_name_once_per_run(rng, monkeypatch):
         return result
 
     monkeypatch.setattr(rigidflow.refine, "icp_refine", counting_icp)
-    got_ego, _ = refine_ego(scene.bg_x, scene.bg_y, ego, ICP_BG)
+    got_ego, _ = refine_segment(scene.bg_x, scene.bg_y, ego, ICP_BG)
     transforms, _ = _refine_clusters(scene, ts)
     assert len(calls) == 1 + scene.clusters.n_clusters
     assert calls[0].transform is got_ego
