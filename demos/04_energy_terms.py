@@ -13,14 +13,13 @@ from rigidflow import (
     bce_mask_loss,
     chamfer_loss,
     ego_translation_loss,
-    inlier_loss,
     rigidity_loss,
     rotation_about_axis,
     RigidTransform,
     compose,
 )
 from rigidflow.synthetic import SceneSpec, generate_scene
-from rigidflow.transport import AssignmentMatrix
+from rigidflow.transport import pruned_soft_correspondences
 
 scene = generate_scene(SceneSpec(seed=3, noise_sigma=0.0, dropout=0.0))
 fg_idx = np.flatnonzero(scene.gt_fg_mask)
@@ -53,14 +52,12 @@ bent[scene.gt_cluster_labels.labels == 0] += np.random.default_rng(1).normal(
 )
 print("rigidity @bent object 0:", rigidity_loss(scene.gt_cluster_labels, fg, FlowField(bent)))
 
-# slack mass shows up in the inlier penalty
+# slack mass shows up as a drop in the mass each row keeps, its match weight
 n = 6
-perfect = np.zeros((n + 1, n + 1))
-perfect[np.arange(n), np.arange(n)] = 1.0
-leaky = perfect * 0.7
-leaky[:n, n] = 0.3  # 30% of every row's mass leaks to slack
-print("inlier penalty, perfect assignment:", inlier_loss(AssignmentMatrix(perfect, n, n)))
-print("inlier penalty, 30% slack leak:", inlier_loss(AssignmentMatrix(leaky, n, n)))
+cloud = PointCloud(np.zeros((n, 3)), features=10.0 * np.eye(n))  # one real match per row
+for label, slack_logit in (("slack out of reach", -800.0), ("30% slack leak", np.log(0.3 / 0.7))):
+    _, kept = pruned_soft_correspondences(cloud, cloud, 0.01, slack_logit, iterations=0)
+    print(f"kept mass, {label}:", kept.mean())
 
 # two-way chamfer between warped foreground and the target foreground
 warped = PointCloud(fg.points + gt_flow_fg.vectors)

@@ -9,7 +9,8 @@ transform. Per-point flow is recovered from the segment transforms, so
 points of the same body can never drift apart.
 
 The top level re-exports what the demos and the README use; everything else
-is imported from its module (`rigidflow.pipeline`, `rigidflow.synthetic`, ...).
+is imported from its module (`rigidflow.pipeline`, `rigidflow.synthetic`,
+and `rigidflow.transport` for the soft matching itself).
 """
 
 from .cluster import dbscan
@@ -17,7 +18,6 @@ from .energy import (
     bce_mask_loss,
     chamfer_loss,
     ego_translation_loss,
-    inlier_loss,
     rigidity_loss,
 )
 from .geom import (
@@ -32,7 +32,6 @@ from .metrics import ego_metrics, flow_metrics
 from .pipeline import PipelineConfig, infer_rigid_flow, preprocess
 from .refine import IcpConfig, icp_refine
 from .rigidfit import WeightedCorrespondenceSet, fit_cluster_transform, weighted_kabsch
-from .transport import soft_assignment, soft_correspondences
 
 __version__ = "0.1.0"
 
@@ -54,11 +53,8 @@ __all__ = [
     "flow_metrics",
     "icp_refine",
     "infer_rigid_flow",
-    "inlier_loss",
     "preprocess",
     "rigidity_loss",
     "rotation_about_axis",
-    "soft_assignment",
-    "soft_correspondences",
     "weighted_kabsch",
 ]

@@ -122,6 +122,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     try:
         cfg = _read_config(args.config, args.seed)
+        if np.isnan(args.mask_height):  # every comparison with NaN is False: no foreground
+            raise _InputError("--mask-height must not be NaN")
 
         t0 = time.perf_counter()
         src = _load_cloud(args.src)

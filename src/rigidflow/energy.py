@@ -2,9 +2,11 @@
 
 The paper trains on these terms; this package trains nothing, so they serve
 as diagnostics and correctness oracles for tests and demos: a mask
-cross-entropy, an ego-motion discrepancy, a slack-mass regularizer, a
-per-cluster rigidity residual, and a two-way Chamfer distance. The package
-root re-exports them; no other module imports this one.
+cross-entropy, an ego-motion discrepancy, a per-cluster rigidity residual,
+and a two-way Chamfer distance. The paper's slack-mass regularizer has no
+term here: the mass each source point keeps off slack is the `weights` that
+`transport.pruned_soft_correspondences` returns. The package root
+re-exports the terms; no other module imports this one.
 """
 
 from __future__ import annotations
@@ -14,12 +16,10 @@ import numpy as np
 from .cluster import ClusterLabeling
 from .geom import FlowField, PointCloud, RigidTransform
 from .rigidfit import fit_cluster_transform
-from .transport import AssignmentMatrix
 
 __all__ = [
     "bce_mask_loss",
     "ego_translation_loss",
-    "inlier_loss",
     "rigidity_loss",
     "chamfer_loss",
 ]
@@ -50,14 +50,6 @@ def ego_translation_loss(
         raise ValueError("background cloud is empty")
     diff = t_gt.apply(bg_points.points) - t_est.apply(bg_points.points)
     return float(np.abs(diff).sum(axis=1).mean())
-
-
-def inlier_loss(a: AssignmentMatrix) -> float:
-    """Mass lost to slack: mean per-row plus mean per-column real deficit."""
-    real = a.real
-    row_term = (1.0 - real.sum(axis=1)).mean()
-    col_term = (1.0 - real.sum(axis=0)).mean()
-    return float(row_term + col_term)
 
 
 def rigidity_loss(clusters: ClusterLabeling, points: PointCloud, flow: FlowField) -> float:

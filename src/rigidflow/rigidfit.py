@@ -116,9 +116,9 @@ def estimate_ego_motion(
     distance 2 tau) and `iterations` Sinkhorn sweeps, and fits a weighted
     Kabsch on the soft correspondences, weighting each row by the mass it
     kept from slack. The transport runs on the pruned sparse plan of
-    `pruned_soft_correspondences`, which agrees with the dense
-    `soft_assignment` to rounding but holds only the entries within float64
-    reach of their row's best match.
+    `pruned_soft_correspondences`, which agrees with the dense matching to
+    rounding but holds only the entries within float64 reach of their row's
+    best match.
 
     Raises:
         ValueError: if either cloud lacks features, either mask selects fewer

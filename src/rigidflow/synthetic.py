@@ -10,7 +10,7 @@ makes these scenes usable as verification oracles for the full pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,7 +29,8 @@ class SceneSpec:
     magnitudes are upper bounds; actual magnitudes are drawn uniformly.
     `min_object_gap` is the enforced clearance between every object and all
     other geometry (objects and background), so density clustering on the
-    foreground is unambiguous. A value no scene can have raises ValueError.
+    foreground is unambiguous. A value no scene can have, NaN and inf
+    included, raises ValueError.
     """
 
     n_objects: int = 3
@@ -49,6 +50,10 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # NaN slips past every range check below
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"inconsistent scene spec: {f.name} must be finite")
         if self.seed < 0:
             raise ValueError("inconsistent scene spec: seed must be non-negative")
         if self.n_objects < 0:

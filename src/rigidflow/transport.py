@@ -1,13 +1,15 @@
-"""Slack-augmented soft assignment between two feature sets, and the soft
-flow that streams the same kernel.
+"""Slack-augmented soft matching between two feature sets, and the soft
+flow that runs the same kernel without slack.
 
-`soft_assignment` builds the row-normalized matching exp(-||f_i - g_j|| / tau),
-optionally against a slack row/column and refined by Sinkhorn sweeps, and
-`soft_correspondences` reads off barycentric matches. The slack row/column
-absorbs the mass of points that have no real counterpart (occlusion,
-sampling holes) so outliers are down-weighted rather than force-matched.
+Pair (i, j) is weighed by exp(-||f_i - g_j|| / tau). A slack row and column
+absorb the mass of points that have no real counterpart (occlusion,
+sampling holes) so outliers are down-weighted rather than force-matched,
+and Sinkhorn sweeps (`sinkhorn`) alternate row and column normalization
+with the slack left unnormalized. Each source point's match is the
+barycentre of its row's real entries, weighted by the mass the row keeps
+off slack.
 
-The two consumers run this one matching in the form their temperature suits:
+Each consumer runs this matching once, in the form its temperature suits:
 
 - The ego-motion (slack, 3 sweeps, tau_ego = 0.005) calls
   `pruned_soft_correspondences`. At that temperature only about 0.4-2% of
@@ -18,13 +20,12 @@ The two consumers run this one matching in the form their temperature suits:
   0.1) has every entry within reach, so `soft_flow` streams the dense rows
   block by block without holding the matrix.
 
-The dense `soft_assignment`, `sinkhorn` and `soft_correspondences` stay the
-public form, and the reference the pruned form is tested against. All
-forms fill their logits `_BLOCK_ROWS` rows at a time, so the elementwise
-passes after each block's matrix product run in cache, and the two with
-sweeps run them in scaling form (Cuturi 2013): they update one row-scale
-and one column-scale vector with read-only matrix-vector products, and the
-dense matrix is scaled once at the end.
+`AssignmentMatrix` and `sinkhorn` are the dense form of the sweeps; with
+`_logit_operands` they build the dense matching the tests check both forms
+against. Both forms fill their logits `_BLOCK_ROWS` rows at a time, so the
+elementwise passes after each block's matrix product run in cache, and the
+sweeps run in scaling form (Cuturi 2013): they update one row-scale and one
+column-scale vector with read-only matrix-vector products.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ from .geom import FlowField, PointCloud
 
 __all__ = [
     "AssignmentMatrix",
-    "soft_assignment",
     "sinkhorn",
-    "soft_correspondences",
     "pruned_soft_correspondences",
     "soft_flow",
 ]
@@ -89,6 +88,12 @@ def _logit_operands(
 
     A_i = [f_i, ||f_i||^2 / tau^2, 1] and B_j = [-2 g_j / tau^2, 1, ||g_j||^2 / tau^2],
     so one BLAS product gives the Gram expansion with the norms folded in.
+    For unit-norm features the distances agree with the directly computed
+    Euclidean distance within 1e-7 absolute, the worst case being
+    near-duplicate features, where cancellation leaves about sqrt(machine
+    epsilon); generic pairs agree to about 1e-15. Products are
+    bit-reproducible only for a fixed BLAS build and thread count, since both
+    change their summation order.
 
     Raises:
         ValueError: if tau <= 0 ("nonpositive temperature") or the feature
@@ -113,33 +118,18 @@ def _logit_operands(
     return a, b
 
 
-def _exp_logits(
-    block: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    slack_logit: float | None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """exp(L - max L) for the rows of `a`, written into `out` (default: `block`).
+def _exp_logits(block: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """exp(L - max L) in place for the rows of `a`, L_ij = -||f_i - g_j|| / tau.
 
-    L_ij = -||f_i - g_j|| / tau over the M real columns, with `slack_logit` as
-    one more column (zero mass without one); each row's max includes the
-    slack, so every row keeps an entry of exactly 1 and none underflows whole.
     `block` is a contiguous (len(a), M) scratch array, small enough to stay in
-    cache, that holds the intermediate passes. Returns the slack column.
+    cache; every row keeps an entry of exactly 1, so none underflows whole.
     """
     np.matmul(a, b, out=block)
     np.maximum(block, 0.0, out=block)  # cancellation can leave tiny negatives
     np.sqrt(block, out=block)  # -L
     lowest = block.min(axis=1, initial=np.inf)
-    if slack_logit is None:
-        slack = np.zeros(len(block))
-    else:
-        np.minimum(lowest, -slack_logit, out=lowest)
-        slack = np.exp(lowest + slack_logit)
     np.subtract(lowest[:, None], block, out=block)
-    np.exp(block, out=block if out is None else out)
-    return slack
+    np.exp(block, out=block)
 
 
 def _reciprocal(sums: np.ndarray, out: np.ndarray) -> None:
@@ -169,74 +159,14 @@ def _scale(row_sums, col_sums, r: np.ndarray, c: np.ndarray, iterations: int) ->
             _reciprocal(col_sums(), c)
 
 
-def _sweep(v: np.ndarray, n: int, m: int, iterations: int) -> None:
-    """Normalize the real rows, then the real columns, of `v` in place.
-
-    Runs `_scale` with one matrix-vector product per sum, `v` left as is,
-    then makes `v` diag(r) v diag(c) once at the end.
-    """
-    r = np.ones(n + 1)
-    c = np.ones(m + 1)
-    _scale(lambda: v[:n] @ c, lambda: r @ v[:, :m], r[:n], c[:m], iterations)
-    v *= r[:, None]
-    if iterations:
-        v *= c
-
-
-def soft_assignment(
-    features_x: np.ndarray,
-    features_y: np.ndarray,
-    tau: float,
-    slack_logit: float | None = None,
-    iterations: int = 3,
-) -> AssignmentMatrix:
-    """Soft matching of `features_x` (N, D) to `features_y` (M, D).
-
-    Entry (i, j) starts from the logit -||f_i - g_j|| / tau, and every slack
-    entry from `slack_logit` (without one, slack carries zero mass). Each real
-    row is shifted by its largest logit, slack included, before a single
-    exponentiation, so no row underflows to zero however far apart the
-    features are; the first row sweep cancels the shift exactly. Then
-    `iterations` Sinkhorn sweeps run as in `sinkhorn`; `iterations=0` is one
-    row sweep, i.e. a row softmax. Larger tau softens the contrast between the
-    best and the remaining candidates.
-
-    The rows are filled `_BLOCK_ROWS` at a time, each from one BLAS product of
-    the features augmented with their squared norms (the Gram expansion of
-    the squared distance), and the sweeps run in scaling form, so besides
-    the returned matrix no N x M array is allocated. For unit-norm features
-    the distances agree with the directly computed Euclidean distance within
-    1e-7 absolute, the worst case being near-duplicate features, where
-    cancellation leaves about sqrt(machine epsilon); generic pairs agree to
-    about 1e-15. The result is bit-reproducible only for a fixed BLAS build
-    and thread count, since both change the summation order of the products.
-
-    Raises:
-        ValueError: if tau <= 0 ("nonpositive temperature"), iterations < 0,
-            feature dimensions disagree, or a real row or column ends up with
-            no mass ("degenerate affinity").
-    """
-    if iterations < 0:
-        raise ValueError("iterations must be nonnegative")
-    a, b = _logit_operands(features_x, features_y, tau)
-    n, m = len(a), b.shape[1]
-    v = np.empty((n + 1, m + 1))
-    block = np.empty((min(n, _BLOCK_ROWS), m))
-    for i in range(0, n, _BLOCK_ROWS):
-        k = min(n - i, _BLOCK_ROWS)
-        v[i : i + k, m] = _exp_logits(block[:k], a[i : i + k], b, slack_logit, out=v[i : i + k, :m])
-    v[n] = 0.0 if slack_logit is None else np.exp(slack_logit)
-    _sweep(v, n, m, iterations)
-    return AssignmentMatrix(values=v, n_rows=n, n_cols=m)
-
-
 def sinkhorn(a: AssignmentMatrix, iterations: int = 3) -> AssignmentMatrix:
     """Alternating row/column normalization with slack left unnormalized.
 
     Each iteration divides every real row by its sum over all M+1 columns,
     then every real column by its sum over all N+1 rows. The slack row and
     column participate in those sums but are never themselves scaled to 1, so
-    they can absorb outlier mass.
+    they can absorb outlier mass. The sweeps run in scaling form on the
+    unchanged input, and the result is diag(r) v diag(c) formed once.
 
     Raises:
         ValueError: if iterations < 1, or a real row/column sums to zero or
@@ -245,48 +175,14 @@ def sinkhorn(a: AssignmentMatrix, iterations: int = 3) -> AssignmentMatrix:
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
+    n, m = a.n_rows, a.n_cols
     v = a.values.copy()
-    _sweep(v, a.n_rows, a.n_cols, iterations)
-    return AssignmentMatrix(values=v, n_rows=a.n_rows, n_cols=a.n_cols)
-
-
-def soft_correspondences(
-    a: AssignmentMatrix,
-    target: PointCloud,
-    source: PointCloud | None = None,
-) -> tuple[PointCloud, np.ndarray]:
-    """Per-row barycentric match point in `target` plus its confidence weight.
-
-    Row i yields the point sum_j a_ij y_j / sum_j a_ij over real columns only,
-    and the weight sum_j a_ij (the mass not lost to slack, in [0, 1] after
-    `sinkhorn`). A row whose real entries are all zero gets weight 0 and, when
-    `source` is given, its own source point as a stand-in match, which keeps it
-    inert under weighted fitting.
-
-    Both reads come from one product of the real rows with [y | 1] (a zero
-    row for the slack column), so the matrix is read once.
-    """
-    if len(target) != a.n_cols:
-        raise ValueError("target size does not match assignment columns")
-    if source is not None and len(source) != a.n_rows:
-        raise ValueError("source size does not match assignment rows")
-    targets = np.zeros((a.n_cols + 1, 4))
-    targets[: a.n_cols, :3] = target.points
-    targets[: a.n_cols, 3] = 1.0
-    return _matches(a.values[: a.n_rows] @ targets, source)
-
-
-def _matches(acc: np.ndarray, source: PointCloud | None) -> tuple[PointCloud, np.ndarray]:
-    """Match points acc[:, :3] / acc[:, 3] and weights acc[:, 3] of (N, 4) row sums
-    against [y | 1]; a row with no real mass gets weight 0 and its source point
-    (the origin without a source)."""
-    weights = acc[:, 3].copy()
-    dead = weights == 0
-    denom = np.where(dead, 1.0, weights)
-    points = acc[:, :3] / denom[:, None]
-    if np.any(dead):
-        points[dead] = source.points[dead] if source is not None else 0.0
-    return PointCloud(points=points), weights
+    r = np.ones(n + 1)
+    c = np.ones(m + 1)
+    _scale(lambda: v[:n] @ c, lambda: r @ v[:, :m], r[:n], c[:m], iterations)
+    v *= r[:, None]
+    v *= c
+    return AssignmentMatrix(values=v, n_rows=n, n_cols=m)
 
 
 def pruned_soft_correspondences(
@@ -296,11 +192,19 @@ def pruned_soft_correspondences(
     slack_logit: float,
     iterations: int = 3,
 ) -> tuple[PointCloud, np.ndarray]:
-    """`soft_correspondences(soft_assignment(...), target, source)` on a pruned plan.
+    """Soft matches of `source` in `target` by their features, on a pruned plan.
 
-    Matches `source` to `target` by their features exactly as the dense pair
-    does with the same `tau`, `slack_logit` and `iterations`, but keeps entry
-    (i, j) of the N x M real block only when its logit lies within
+    Entry (i, j) starts from the logit -||f_i - g_j|| / tau, and every slack
+    entry from `slack_logit`. Each real row is shifted by its largest logit,
+    slack included, before a single exponentiation, so no row underflows to
+    zero however far apart the features are; the first row sweep cancels the
+    shift exactly. Then `iterations` Sinkhorn sweeps run as in `sinkhorn`;
+    `iterations=0` is one row sweep. Row i's match is sum_j P_ij y_j /
+    sum_j P_ij over the real columns, and its weight sum_j P_ij is the mass
+    not lost to slack, in [0, 1].
+
+    The plan P keeps entry (i, j) of the N x M real block only when its logit
+    lies within
 
         K = 64 ln 2 + ln((N + 1)(M + 1)) + 2 max(0, -slack_logit)
 
@@ -318,14 +222,14 @@ def pruned_soft_correspondences(
     at most exp(-K) times its row's kept maximum, so the dropped entries move
     any row sum, column sum or kept mass (weight) by less than 2^-64 of it in
     every sweep, and a match point by less than 2^-64 times the diameter of
-    the target. A row whose kept mass is exactly 0 gets weight 0 and its
-    source point, as in `soft_correspondences`.
+    the target. A row whose kept mass is exactly 0 gets weight 0 and its own
+    source point as a stand-in match, which keeps it inert under weighted
+    fitting.
 
     Raises:
         ValueError: if tau <= 0 ("nonpositive temperature"), iterations < 0,
             either cloud lacks features, their dimensions disagree, or a real
-            row or column ends up with no mass ("degenerate affinity"), as
-            in the dense pair.
+            row or column ends up with no mass ("degenerate affinity").
     """
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
@@ -372,7 +276,11 @@ def pruned_soft_correspondences(
     targets[:, :3] = target.points
     acc = plan @ (targets * c[:, None])
     acc *= r[:, None]
-    return _matches(acc, source)
+    weights = acc[:, 3].copy()
+    dead = weights == 0
+    points = acc[:, :3] / np.where(dead, 1.0, weights)[:, None]
+    points[dead] = source.points[dead]
+    return PointCloud(points=points), weights
 
 
 def soft_flow(x: PointCloud, y: PointCloud, tau_flow: float) -> FlowField:
@@ -382,11 +290,11 @@ def soft_flow(x: PointCloud, y: PointCloud, tau_flow: float) -> FlowField:
     points in feature space, and its flow is the displacement to that
     combination: flow_i = sum_j softmax_j(-||f_i - g_j|| / tau) y_j - x_i.
     Small tau approaches hard nearest-feature matching; large tau blends
-    targets. The weights are those of `soft_assignment` without slack and
-    with a single row sweep, but each block of rows of exp(L - max L) is
-    reduced against [y | 1] as soon as it is filled, and matched point i is
-    the first three entries of its row over the fourth; no N x M array is
-    allocated. No learned refinement runs on top of this.
+    targets. The weights are those of the slack-free matching with a single
+    row sweep, but each block of rows of exp(L - max L) is reduced against
+    [y | 1] as soon as it is filled, and matched point i is the first three
+    entries of its row over the fourth; no N x M array is allocated. No
+    learned refinement runs on top of this.
 
     Raises:
         ValueError: if tau_flow <= 0, either cloud lacks features, their
@@ -402,7 +310,7 @@ def soft_flow(x: PointCloud, y: PointCloud, tau_flow: float) -> FlowField:
     acc = np.empty((n, 4))
     for i in range(0, n, _BLOCK_ROWS):
         rows = block[: min(n - i, _BLOCK_ROWS)]
-        _exp_logits(rows, a[i : i + _BLOCK_ROWS], b, None)
+        _exp_logits(rows, a[i : i + _BLOCK_ROWS], b)
         np.matmul(rows, targets, out=acc[i : i + _BLOCK_ROWS])
     mass = acc[:, 3:]
     if not np.all(mass > 0):

@@ -51,11 +51,22 @@ def test_synth_zero_objects_zero_flow(tmp_path):
     np.testing.assert_array_equal(gt.flow, 0.0)
 
 
-def test_synth_invalid_spec_exits_2(tmp_path):
-    rc = main(
-        ["synth", "--out-prefix", str(tmp_path / "bad"), "--points-per-object", "2"]
-    )
-    assert rc == 2
+def test_synth_invalid_spec_exits_2(tmp_path, capsys):
+    # NaN and inf used to escape as an OverflowError traceback or, for the
+    # noise, as a silently noise-free scene
+    for flag, value in [
+        ("--points-per-object", "2"),
+        ("--extent", "nan"),
+        ("--gap", "nan"),
+        ("--ego-rotation-deg", "nan"),
+        ("--ego-translation", "nan"),
+        ("--object-rotation-deg", "inf"),
+        ("--noise-sigma", "nan"),
+    ]:
+        rc = main(["synth", "--out-prefix", str(tmp_path / "bad"), flag, value])
+        assert rc == 2, flag
+        assert "inconsistent scene spec" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_synth_negative_seed_exits_2_naming_the_flag(tmp_path, capsys):
@@ -272,6 +283,21 @@ def test_flow_mismatched_feature_widths_exit_2_naming_both_donors(tmp_path, rng,
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{donors[0]} has D = 16" in err and f"{donors[1]} has D = 8" in err
+
+
+def test_flow_nan_mask_height_exits_2_naming_the_flag(tmp_path, capsys):
+    # `y > nan` is False everywhere, which would make every point background
+    prefix = synth(tmp_path)
+    out_flow = tmp_path / "pred.rgf"
+    rc = main(
+        [
+            "flow", "--src", f"{prefix}_x.rgf", "--tgt", f"{prefix}_y.rgf",
+            "--masks", "height", "--mask-height", "nan", "--out-flow", str(out_flow),
+        ]
+    )
+    assert rc == 2
+    assert "--mask-height" in capsys.readouterr().err
+    assert not out_flow.exists()
 
 
 def test_flow_non_finite_text_cloud_exits_2(tmp_path, capsys):

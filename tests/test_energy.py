@@ -6,12 +6,10 @@ from rigidflow.energy import (
     bce_mask_loss,
     chamfer_loss,
     ego_translation_loss,
-    inlier_loss,
     rigidity_loss,
 )
 from rigidflow.geom import FlowField, PointCloud, RigidTransform, apply_transform
 from rigidflow.rigidfit import fit_cluster_transform
-from rigidflow.transport import AssignmentMatrix
 
 from conftest import make_transform
 
@@ -85,32 +83,6 @@ def test_ego_translation_permutation_invariant(rng):
     a = ego_translation_loss(PointCloud(pts), est, gt)
     b = ego_translation_loss(PointCloud(pts[rng.permutation(30)]), est, gt)
     assert a == pytest.approx(b, abs=1e-12)
-
-
-# ------------------------------------------------------------------ inlier
-
-
-def test_inlier_zero_for_permutation_matrix():
-    n = 4
-    v = np.zeros((n + 1, n + 1))
-    v[np.arange(n), np.arange(n)] = 1.0
-    assert inlier_loss(AssignmentMatrix(v, n, n)) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_inlier_two_for_all_slack():
-    n = 3
-    v = np.zeros((n + 1, n + 1))
-    v[:n, n] = 1.0  # every row's mass on the slack column
-    assert inlier_loss(AssignmentMatrix(v, n, n)) == pytest.approx(2.0, abs=1e-15)
-
-
-def test_inlier_matches_summation_oracle(rng):
-    n, m = 6, 5
-    v = rng.uniform(0.0, 0.3, size=(n + 1, m + 1))
-    a = AssignmentMatrix(v, n, m)
-    row = sum(1.0 - v[i, :m].sum() for i in range(n)) / n
-    col = sum(1.0 - v[:n, j].sum() for j in range(m)) / m
-    assert inlier_loss(a) == pytest.approx(row + col, abs=1e-12)
 
 
 # ---------------------------------------------------------------- rigidity

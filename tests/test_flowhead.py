@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rigidflow.geom import PointCloud
-from rigidflow.transport import _BLOCK_ROWS, soft_assignment, soft_correspondences, soft_flow
+from rigidflow.transport import _BLOCK_ROWS, soft_flow
+from test_transport import dense_assignment, dense_correspondences
 
 
 def _cloud(points, features):
@@ -99,7 +100,8 @@ def test_streamed_soft_flow_matches_dense_assignment(n):
     rng = np.random.default_rng(n)
     x = _cloud(rng.normal(size=(n, 3)), rng.normal(size=(n, 6)))
     y = _cloud(rng.normal(size=(n + 7, 3)), rng.normal(size=(n + 7, 6)))
-    matched, _ = soft_correspondences(soft_assignment(x.features, y.features, 0.5, iterations=0), y)
+    plan = dense_assignment(x.features, y.features, 0.5, iterations=0)
+    matched, _ = dense_correspondences(plan, y, x)
     out = soft_flow(x, y, tau_flow=0.5)
     np.testing.assert_allclose(out.vectors, matched.points - x.points, rtol=0, atol=1e-12)
 

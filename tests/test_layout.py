@@ -3,6 +3,7 @@
 their module."""
 
 import ast
+import importlib
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -76,3 +77,13 @@ def test_refine_imports_only_geom_and_rigidfit():
     # ICP registers one segment's points onto a target cloud; which points
     # form a segment is the pipeline's business
     assert _import_graph()["refine"] == {"geom", "rigidfit"}
+
+
+def test_every_all_entry_resolves():
+    # a name left in `__all__` after its definition is deleted breaks
+    # `from rigidflow import *`, and nothing else would notice
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "rigidflow" if path.stem == "__init__" else f"rigidflow.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
+        assert missing == [], f"{name}.__all__ names undefined {missing}"

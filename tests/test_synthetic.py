@@ -124,6 +124,17 @@ def test_invalid_specs_rejected():
         generate_scene(SceneSpec(background_points=2))
     with pytest.raises(ValueError, match="inconsistent scene spec: seed must be non-negative"):
         SceneSpec(seed=-1)
+    # NaN fails every comparison, so only a finiteness check catches it
+    for name, value in [
+        ("background_extent", np.nan),
+        ("min_object_gap", np.nan),
+        ("ego_rotation_deg", np.nan),
+        ("ego_translation", np.nan),
+        ("object_rotation_deg", np.inf),
+        ("noise_sigma", np.nan),
+    ]:
+        with pytest.raises(ValueError, match=f"inconsistent scene spec: {name} must be finite"):
+            SceneSpec(**{name: value})
 
 
 def test_nearby_features_are_similar_far_features_are_not():

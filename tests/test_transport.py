@@ -6,10 +6,10 @@ from rigidflow.geom import PointCloud
 from rigidflow.transport import (
     _BLOCK_ROWS,
     AssignmentMatrix,
+    _logit_operands,
     pruned_soft_correspondences,
     sinkhorn,
-    soft_assignment,
-    soft_correspondences,
+    soft_flow,
 )
 
 def reference_sinkhorn(values, n, m, iterations):
@@ -23,7 +23,46 @@ def reference_sinkhorn(values, n, m, iterations):
     return v
 
 
-# -------------------------------------------------------- soft_assignment
+# ------------------------------------------------------- the dense reference
+
+
+def dense_assignment(features_x, features_y, tau, slack_logit=None, iterations=3):
+    """The dense soft assignment that `pruned_soft_correspondences` and
+    `soft_flow` both stand in for, as an (N+1) x (M+1) `AssignmentMatrix`.
+
+    The logits -||f_i - g_j|| / tau come from `_logit_operands`, multiplied
+    `_BLOCK_ROWS` rows at a time as both forms do, so all three share the
+    Gram-expansion rounding; every slack entry starts at `slack_logit` (no
+    mass without one). Each real row is shifted by its largest logit, slack
+    included, and exponentiated; then one row sweep runs when `iterations`
+    is 0, and `sinkhorn` otherwise. Raises "degenerate affinity" for a NaN
+    logit (features too large to square) or a real row or column with no
+    mass, and the errors of `_logit_operands`.
+    """
+    a, b = _logit_operands(features_x, features_y, tau)
+    n, m = len(a), b.shape[1]
+    squares = np.concatenate([a[i : i + _BLOCK_ROWS] @ b for i in range(0, n, _BLOCK_ROWS)])
+    logits = np.full((n + 1, m + 1), -np.inf if slack_logit is None else slack_logit)
+    logits[:n, :m] = -np.sqrt(np.maximum(squares, 0.0))
+    logits[:n] -= logits[:n].max(axis=1, keepdims=True)
+    v = np.exp(logits)
+    if np.isnan(v).any():
+        raise ValueError("degenerate affinity")
+    if iterations:
+        return sinkhorn(AssignmentMatrix(v, n, m), iterations)
+    v[:n] /= v[:n].sum(axis=1, keepdims=True)
+    return AssignmentMatrix(v, n, m)
+
+
+def dense_correspondences(a, target, source):
+    """Each real row's barycentric match in `target` over the real columns,
+    and its weight, the row's real mass; a row with none gets weight 0 and
+    its source point."""
+    weights = a.real.sum(axis=1)
+    dead = weights == 0
+    points = (a.real @ target.points) / np.where(dead, 1.0, weights)[:, None]
+    points[dead] = source.points[dead]
+    return PointCloud(points), weights
 
 
 def _logits(fx, fy, tau):
@@ -37,14 +76,14 @@ def _slack_ratio(a):
 
 def test_affinity_identical_features_give_one():
     f = np.array([[1.0, 2.0, 3.0]])
-    a = soft_assignment(f, f, tau=0.5, slack_logit=0.0, iterations=0)
+    a = dense_assignment(f, f, tau=0.5, slack_logit=0.0, iterations=0)
     assert _slack_ratio(a)[0, 0] == pytest.approx(1.0)
 
 
 def test_affinity_at_distance_tau_is_exp_minus_one():
     fx = np.array([[0.0]])
     fy = np.array([[0.25]])
-    a = soft_assignment(fx, fy, tau=0.25, slack_logit=0.0, iterations=0)
+    a = dense_assignment(fx, fy, tau=0.25, slack_logit=0.0, iterations=0)
     assert _slack_ratio(a)[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
@@ -54,7 +93,7 @@ def test_affinity_matches_double_loop_oracle(rng):
     tau = 0.3
     logits = _logits(fx, fy, tau)
     # without slack, one row sweep is the row softmax and slack holds no mass
-    a = soft_assignment(fx, fy, tau, iterations=0)
+    a = dense_assignment(fx, fy, tau, iterations=0)
     for i in range(4):
         expected = np.exp(logits[i] - logits[i].max())
         expected /= expected.sum()
@@ -62,21 +101,21 @@ def test_affinity_matches_double_loop_oracle(rng):
     assert not a.values[4].any() and not a.values[:, 5].any()
     # with slack, every real entry stands to its slack entry as exp(L_ij - s)
     s = -1.7
-    b = soft_assignment(fx, fy, tau, slack_logit=s, iterations=0)
+    b = dense_assignment(fx, fy, tau, slack_logit=s, iterations=0)
     np.testing.assert_allclose(_slack_ratio(b), np.exp(logits - s), rtol=1e-12, atol=0)
 
 
 def test_affinity_nonpositive_temperature():
     f = np.zeros((2, 3))
     with pytest.raises(ValueError, match="nonpositive temperature"):
-        soft_assignment(f, f, tau=0.0)
+        _logit_operands(f, f, tau=0.0)
 
 
 def test_affinity_symmetric_up_to_transpose(rng):
     fx = rng.normal(size=(4, 3))
     fy = rng.normal(size=(6, 3))
-    a = soft_assignment(fx, fy, 0.2, slack_logit=0.0, iterations=0)
-    b = soft_assignment(fy, fx, 0.2, slack_logit=0.0, iterations=0)
+    a = dense_assignment(fx, fy, 0.2, slack_logit=0.0, iterations=0)
+    b = dense_assignment(fy, fx, 0.2, slack_logit=0.0, iterations=0)
     np.testing.assert_allclose(_slack_ratio(a), _slack_ratio(b).T, rtol=1e-13, atol=0)
 
 
@@ -84,8 +123,8 @@ def test_affinity_softens_with_larger_tau(rng):
     # every off-best ratio moves strictly toward 1 when tau grows
     fx = rng.normal(size=(5, 4))
     fy = rng.normal(size=(7, 4))
-    lo = soft_assignment(fx, fy, 0.1, iterations=0).real
-    hi = soft_assignment(fx, fy, 0.5, iterations=0).real
+    lo = dense_assignment(fx, fy, 0.1, iterations=0).real
+    hi = dense_assignment(fx, fy, 0.5, iterations=0).real
     best_lo = lo.max(axis=1, keepdims=True)
     best_hi = hi.max(axis=1, keepdims=True)
     ratio_lo = lo / best_lo
@@ -103,33 +142,44 @@ def test_soft_assignment_equals_sinkhorn_of_exponentiated_logits(rng):
     full = np.full((10, 12), np.exp(s))
     full[:9, :11] = np.exp(_logits(fx, fy, tau))
     expected = sinkhorn(AssignmentMatrix(full, 9, 11), iterations=3)
-    out = soft_assignment(fx, fy, tau, slack_logit=s, iterations=3)
+    out = dense_assignment(fx, fy, tau, slack_logit=s, iterations=3)
     np.testing.assert_allclose(out.values, expected.values, rtol=1e-12, atol=0)
 
 
 def test_soft_assignment_recovers_permutation_below_underflow(rng):
     # match gap 0.5 against 0.6 at tau 0.005: every real affinity is below
-    # 1e-30, yet the logit differences still single out the permutation
+    # 1e-30, yet the logit differences still single out the permutation, in
+    # the slack-free flow head and in the slack-augmented ego transport
     n, tau = 8, 0.005
     perm = rng.permutation(n)
     fy = 1.1 * np.arange(n, dtype=float)[:, None]
     fx = fy[perm] + 0.5
     assert _logits(fx, fy, tau).max() < np.log(1e-30)
-    for slack_logit, iterations in ((None, 0), (-2.0, 3)):
-        a = soft_assignment(fx, fy, tau, slack_logit=slack_logit, iterations=iterations)
-        assert np.array_equal(a.real.argmax(axis=1), perm)
+    x = PointCloud(rng.normal(size=(n, 3)), features=fx)
+    y = PointCloud(rng.normal(size=(n, 3)), features=fy)
+    flowed = x.points + soft_flow(x, y, tau).vectors
+    np.testing.assert_allclose(flowed, y.points[perm], rtol=0, atol=1e-6)
+    matched, weights = pruned_soft_correspondences(x, y, tau, slack_logit=-2.0, iterations=3)
+    np.testing.assert_allclose(matched.points, y.points[perm], rtol=0, atol=1e-6)
+    assert np.all(weights > 0)
 
 
 def test_soft_assignment_row_beyond_reach_goes_to_slack():
     # every real logit sits 1000 below the slack logit: the row max includes
-    # the slack, so the row keeps its mass there instead of overflowing
-    a = soft_assignment([[0.0]], [[10.0], [11.0]], 0.01, slack_logit=0.0, iterations=0)
+    # the slack, so the row keeps its mass there instead of overflowing, and
+    # the pruned form hands the row its own source point
+    source = PointCloud([[5.0, 6.0, 7.0]], features=[[0.0]])
+    target = PointCloud(np.zeros((2, 3)), features=[[10.0], [11.0]])
+    a = dense_assignment(source.features, target.features, 0.01, slack_logit=0.0, iterations=0)
     np.testing.assert_array_equal(a.values[0], [0.0, 0.0, 1.0])
+    points, weights = pruned_soft_correspondences(source, target, 0.01, 0.0, iterations=0)
+    assert weights[0] == 0.0
+    np.testing.assert_array_equal(points.points[0], [5.0, 6.0, 7.0])
 
 
 def test_soft_assignment_rejects_mismatched_features():
     with pytest.raises(ValueError, match="equal D"):
-        soft_assignment(np.zeros((2, 3)), np.zeros((2, 4)), tau=0.1)
+        _logit_operands(np.zeros((2, 3)), np.zeros((2, 4)), tau=0.1)
 
 
 @pytest.mark.parametrize("noise", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
@@ -137,19 +187,18 @@ def test_soft_assignment_rejects_mismatched_features():
 def test_soft_assignment_distances_match_cdist_on_near_duplicates(noise, seed):
     # Unit-norm features against a noisy permutation of themselves: the
     # near-duplicate pairs are where the Gram-expansion distance loses the
-    # most to cancellation. The logits are read back through the slack ratio
-    # exp(L_ij - 0), which stays above underflow for distances up to 2.
+    # most to cancellation.
     rng = np.random.default_rng(seed)
     f = rng.normal(size=(500, 32))
     f /= np.linalg.norm(f, axis=1, keepdims=True)
     g = f[rng.permutation(500)] + noise * rng.normal(size=f.shape)
     tau = 0.005
-    a = soft_assignment(f, g, tau, slack_logit=0.0, iterations=0)
-    distances = -tau * np.log(_slack_ratio(a))
+    a, b = _logit_operands(f, g, tau)
+    distances = tau * np.sqrt(np.maximum(a @ b, 0.0))
     assert np.abs(distances - cdist(f, g)).max() <= 1e-7
 
 
-def _dense_reference(fx, fy, tau, slack_logit, iterations):
+def _double_loop_reference(fx, fy, tau, slack_logit, iterations):
     """Double-loop logits, one row shift (slack included), then one row sweep
     when iterations is 0 and `reference_sinkhorn` otherwise."""
     n, m = len(fx), len(fy)
@@ -169,13 +218,14 @@ def _dense_reference(fx, fy, tau, slack_logit, iterations):
     "n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
 )
 def test_blocked_soft_assignment_matches_dense_reference(n, iterations, slack_logit):
-    # row counts around the block height catch a lost, repeated or shifted
-    # block; the bound was set before the blocked kernel was written
+    # the reference the pruned form and the flow head are checked against
+    # must itself agree with the scalar double loop; row counts around the
+    # block height catch a lost, repeated or shifted block of its products
     rng = np.random.default_rng(n)
     fx = rng.normal(size=(n, 6))
     fy = rng.normal(size=(40, 6))
-    out = soft_assignment(fx, fy, 0.5, slack_logit=slack_logit, iterations=iterations)
-    expected = _dense_reference(fx, fy, 0.5, slack_logit, iterations)
+    out = dense_assignment(fx, fy, 0.5, slack_logit=slack_logit, iterations=iterations)
+    expected = _double_loop_reference(fx, fy, 0.5, slack_logit, iterations)
     np.testing.assert_allclose(out.values, expected, rtol=1e-10, atol=0)
 
 
@@ -249,8 +299,8 @@ def test_assignment_matrix_rejects_negative_entries():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_assignment_matrix_rejects_non_finite_entries(bad):
-    # NaN passes a `min() < 0` test, and inf would reach soft_correspondences
-    # and inlier_loss as non-finite points and losses
+    # NaN passes a `min() < 0` test, and inf would reach the sweeps and the
+    # match reads as non-finite sums
     v = np.full((3, 4), 0.5)
     v[0, 1] = bad
     with pytest.raises(ValueError, match="assignment entries must be finite"):
@@ -284,73 +334,69 @@ def test_sinkhorn_output_stays_positive(rng):
 # ---------------------------------------------------- soft correspondences
 
 
-def _normalized(values, n, m):
-    return sinkhorn(AssignmentMatrix(values, n_rows=n, n_cols=m), iterations=50)
-
-
 def test_soft_correspondences_hard_one_hot():
-    v = np.full((3, 4), 1e-30)
-    v[0, 1] = 1.0
-    v[1, 2] = 1.0
-    a = AssignmentMatrix(v, n_rows=2, n_cols=3)
-    target = PointCloud([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    points, weights = soft_correspondences(a, target)
-    np.testing.assert_allclose(points.points[0], [1.0, 2.0, 3.0], atol=1e-12)
-    np.testing.assert_allclose(points.points[1], [4.0, 5.0, 6.0], atol=1e-12)
+    # at a small temperature each row's mass sits on its one nearest target,
+    # in the pruned form and in the flow head alike
+    source = PointCloud(np.zeros((2, 3)), features=[[1.0], [2.0]])
+    target = PointCloud(
+        [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], features=[[0.0], [1.0], [2.0]]
+    )
+    points, weights = pruned_soft_correspondences(source, target, 0.01, -800.0, iterations=0)
+    np.testing.assert_allclose(points.points, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], atol=1e-12)
     np.testing.assert_allclose(weights, [1.0, 1.0], atol=1e-12)
+    flow = soft_flow(source, target, 0.01)
+    np.testing.assert_allclose(flow.vectors, points.points, atol=1e-12)
 
 
 def test_soft_correspondences_all_slack_gives_zero_weight():
-    v = np.full((2, 3), 0.0)
-    v[0, 2] = 1.0  # everything on the slack column
-    a = AssignmentMatrix(v, n_rows=1, n_cols=2)
-    target = PointCloud([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-    source = PointCloud([[9.0, 9.0, 9.0]])
-    points, weights = soft_correspondences(a, target, source=source)
-    assert weights[0] == 0.0
-    np.testing.assert_array_equal(points.points[0], [9.0, 9.0, 9.0])
+    # the second row is beyond reach of every target: through the sweeps all
+    # its mass stays on slack, and it keeps its own source point
+    source = PointCloud([[0.0, 0.0, 0.0], [9.0, 9.0, 9.0]], features=[[0.0], [100.0]])
+    target = PointCloud([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], features=[[0.0], [0.5]])
+    points, weights = pruned_soft_correspondences(source, target, 0.01, 0.0, iterations=3)
+    assert weights[0] > 0.0
+    assert weights[1] == 0.0
+    np.testing.assert_array_equal(points.points[1], [9.0, 9.0, 9.0])
 
 
 def test_soft_correspondences_uniform_row_gives_midpoint():
-    v = np.zeros((2, 3))
-    v[0, 0] = 0.5
-    v[0, 1] = 0.5
-    a = AssignmentMatrix(v, n_rows=1, n_cols=2)
-    target = PointCloud([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    points, weights = soft_correspondences(a, target)
+    # a source feature equidistant from two targets splits its row evenly
+    source = PointCloud(np.zeros((1, 3)), features=[[1.0]])
+    target = PointCloud([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]], features=[[0.0], [2.0]])
+    points, weights = pruned_soft_correspondences(source, target, 0.5, -800.0, iterations=0)
     np.testing.assert_allclose(points.points[0], [1.0, 0.0, 0.0], atol=1e-15)
     assert weights[0] == pytest.approx(1.0)
+    np.testing.assert_allclose(soft_flow(source, target, 0.5).vectors[0], [1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_soft_correspondences_permutation_reproduces_target(rng):
     n = 8
     perm = rng.permutation(n)
-    v = np.full((n + 1, n + 1), 1e-30)
-    for i, j in enumerate(perm):
-        v[i, j] = 1.0
-    a = AssignmentMatrix(v, n_rows=n, n_cols=n)
-    target = PointCloud(rng.normal(size=(n, 3)))
-    points, weights = soft_correspondences(a, target)
+    g = rng.normal(size=(n, 6))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    target = PointCloud(rng.normal(size=(n, 3)), features=g)
+    source = PointCloud(np.zeros((n, 3)), features=g[perm])
+    points, weights = pruned_soft_correspondences(source, target, 0.005, -40.0)
     np.testing.assert_allclose(points.points, target.points[perm], atol=1e-12)
     np.testing.assert_allclose(weights, np.ones(n), atol=1e-12)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (7, 12), (130, 90)])
 def test_soft_correspondences_match_two_reads_of_the_real_block(rng, n, m):
-    a = soft_assignment(rng.normal(size=(n, 6)), rng.normal(size=(m, 6)), 0.4, slack_logit=-1.0)
-    v = a.values.copy()
-    v[0, :m] = 0.0  # one dead row
-    v[:, m] = 1e6  # slack column and row carry mass the reads must ignore
-    v[n] = 1e6
-    a = AssignmentMatrix(v, n_rows=n, n_cols=m)
-    target = PointCloud(rng.normal(size=(m, 3)) * 10.0)
-    source = PointCloud(rng.normal(size=(n, 3)))
-    points, weights = soft_correspondences(a, target, source=source)
+    # at a warm temperature the pruned plan keeps every entry: its weights
+    # and match points are the row sums and barycentres of the dense real
+    # block, with the slack mass left out; row 0 is beyond reach, so dead
+    fx = rng.normal(size=(n, 6))
+    fx[0] += 1e3
+    fy = rng.normal(size=(m, 6))
+    source = PointCloud(rng.normal(size=(n, 3)), features=fx)
+    target = PointCloud(rng.normal(size=(m, 3)) * 10.0, features=fy)
+    points, weights = pruned_soft_correspondences(source, target, 0.4, -1.0)
 
-    real = v[:n, :m]
+    real = dense_assignment(fx, fy, 0.4, slack_logit=-1.0).real
     want_w = real.sum(axis=1)
     live = want_w > 0
-    np.testing.assert_allclose(weights, want_w, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(weights, want_w, rtol=1e-12, atol=0)
     np.testing.assert_allclose(
         points.points[live], (real[live] @ target.points) / want_w[live, None], rtol=0, atol=1e-12
     )
@@ -359,10 +405,9 @@ def test_soft_correspondences_match_two_reads_of_the_real_block(rng, n, m):
 
 
 def test_sinkhorn_weights_in_unit_interval(rng):
-    fx = rng.normal(size=(10, 5))
-    fy = rng.normal(size=(12, 5))
-    a = soft_assignment(fx, fy, 0.3, slack_logit=np.log(0.2), iterations=3)
-    _, weights = soft_correspondences(a, PointCloud(rng.normal(size=(12, 3))))
+    source = PointCloud(rng.normal(size=(10, 3)), features=rng.normal(size=(10, 5)))
+    target = PointCloud(rng.normal(size=(12, 3)), features=rng.normal(size=(12, 5)))
+    _, weights = pruned_soft_correspondences(source, target, 0.3, np.log(0.2), iterations=3)
     assert np.all(weights >= 0.0) and np.all(weights <= 1.0 + 1e-12)
 
 
@@ -372,12 +417,12 @@ def test_sinkhorn_weights_in_unit_interval(rng):
 def _dense_correspondences(source, target, tau, slack_logit, iterations):
     """The dense pair the pruned plan stands in for, or the error it raises."""
     try:
-        a = soft_assignment(
+        a = dense_assignment(
             source.features, target.features, tau, slack_logit=slack_logit, iterations=iterations
         )
     except ValueError as err:
         return err
-    return soft_correspondences(a, target, source=source)
+    return dense_correspondences(a, target, source)
 
 
 def _ego_like_pair(n, regime):
