@@ -122,8 +122,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     try:
         cfg = _read_config(args.config, args.seed)
-        if np.isnan(args.mask_height):  # every comparison with NaN is False: no foreground
-            raise _InputError("--mask-height must not be NaN")
+        if not np.isfinite(args.mask_height):  # refused before any file is read, naming the flag
+            raise _InputError(f"--mask-height must be finite, got {args.mask_height}")
 
         t0 = time.perf_counter()
         src = _load_cloud(args.src)
@@ -205,20 +205,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     try:
-        spec = SceneSpec(
-            n_objects=args.objects,
-            points_per_object=args.points_per_object,
-            background_points=args.background_points,
-            background_extent=args.extent,
-            ego_rotation_deg=args.ego_rotation_deg,
-            ego_translation=args.ego_translation,
-            object_rotation_deg=args.object_rotation_deg,
-            object_translation=args.object_translation,
-            noise_sigma=args.noise_sigma,
-            dropout=args.dropout,
-            feature_dim=args.feature_dim,
-            min_object_gap=args.gap,
-        )
+        spec = SceneSpec(**{name: getattr(args, name) for name in _SYNTH_FLAGS.values()})
         scene = generate_scene(_with_seed(spec, args.seed))
     except (ValueError, _InputError) as exc:
         return _fail(str(exc), 2)
@@ -280,6 +267,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+# `rigidflow synth` flag -> the SceneSpec field it sets; the field gives the
+# flag's type and default. `--seed` is separate, so that a bad seed names it.
+_SYNTH_FLAGS = {
+    "objects": "n_objects",
+    "points-per-object": "points_per_object",
+    "background-points": "background_points",
+    "extent": "background_extent",
+    "ego-rotation-deg": "ego_rotation_deg",
+    "ego-translation": "ego_translation",
+    "object-rotation-deg": "object_rotation_deg",
+    "object-translation": "object_translation",
+    "noise-sigma": "noise_sigma",
+    "dropout": "dropout",
+    "feature-dim": "feature_dim",
+    "gap": "min_object_gap",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rigidflow",
@@ -319,19 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic scene with ground truth")
     p_synth.add_argument("--out-prefix", required=True, help="prefix for all written files")
-    p_synth.add_argument("--objects", type=int, default=3)
-    p_synth.add_argument("--points-per-object", type=int, default=200)
-    p_synth.add_argument("--background-points", type=int, default=2000)
-    p_synth.add_argument("--extent", type=float, default=16.0)
-    p_synth.add_argument("--ego-rotation-deg", type=float, default=5.0)
-    p_synth.add_argument("--ego-translation", type=float, default=2.0)
-    p_synth.add_argument("--object-rotation-deg", type=float, default=10.0)
-    p_synth.add_argument("--object-translation", type=float, default=3.0)
-    p_synth.add_argument("--noise-sigma", type=float, default=0.005)
-    p_synth.add_argument("--dropout", type=float, default=0.1)
-    p_synth.add_argument("--feature-dim", type=int, default=16)
-    p_synth.add_argument("--gap", type=float, default=1.5)
-    p_synth.add_argument("--seed", type=int, default=0)
+    spec_fields = {f.name: f for f in dataclasses.fields(SceneSpec)}
+    for flag, name in _SYNTH_FLAGS.items():
+        default = spec_fields[name].default
+        p_synth.add_argument(f"--{flag}", dest=name, type=type(default), default=default)
+    p_synth.add_argument("--seed", type=int, default=spec_fields["seed"].default)
     p_synth.set_defaults(func=cmd_synth)
 
     p_eval = sub.add_parser("eval", help="score a predicted flow (and optionally ego) file")

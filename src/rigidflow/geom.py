@@ -30,9 +30,6 @@ __all__ = [
     "compose",
     "invert",
     "voxelize",
-    "transfer_flow_to_points",
-    "TransferPlan",
-    "plan_transfer",
     "rotation_about_axis",
 ]
 
@@ -296,102 +293,3 @@ def voxelize(
     centers = PointCloud(cell_mean(pc.points), **averaged)
     return VoxelGrid(voxel_size=float(voxel_size), voxel_centers=centers, point_to_voxel=inverse)
 
-
-@dataclass(frozen=True)
-class TransferPlan:
-    """The part of `transfer_flow_to_points` that does not read the flow.
-
-    `own_rows` take their own voxel `own_voxels` flow by lookup. Each of the
-    other points, `rest_rows`, blends the flows of its `neighbors` (k nearest
-    voxel centers) with the inverse-distance `weights`, which sum to
-    `weight_sums`. Build one with `plan_transfer`.
-    """
-
-    n_points: int
-    n_voxels: int
-    own_rows: np.ndarray
-    own_voxels: np.ndarray
-    rest_rows: np.ndarray
-    neighbors: np.ndarray
-    weights: np.ndarray
-    weight_sums: np.ndarray
-
-    def apply(self, voxel_flow: FlowField) -> FlowField:
-        """The per-point flow: lookups, then the weighted sums of the rest."""
-        if len(voxel_flow) != self.n_voxels:
-            raise ValueError("voxel_flow length does not match voxel count")
-        v = voxel_flow.vectors
-        out = np.empty((self.n_points, 3))
-        out[self.own_rows] = v[self.own_voxels]
-        flows = v[self.neighbors]  # (n, k, 3)
-        interp = (self.weights[:, :, None] * flows).sum(axis=1) / self.weight_sums[:, None]
-        out[self.rest_rows] = interp
-        return FlowField(out)
-
-
-def plan_transfer(grid: VoxelGrid, original: PointCloud, k: int = 3) -> TransferPlan:
-    """Plan `transfer_flow_to_points(grid, ., original, k)` for any voxel flow.
-
-    When `original` has as many points as the voxelized cloud, a point whose
-    coordinates equal its own voxel's center (`grid.point_to_voxel`) takes
-    that voxel's flow by lookup; a point alone in its cell always does. Only
-    the other points (in multi-point cells, dropped by the `max_voxels` cap,
-    or of another cloud) are queried, on the centers' cached KD-tree.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    centers = grid.voxel_centers.points
-    points = original.points
-
-    # A point equal to its own voxel's center, as every point alone in its
-    # cell is, takes that voxel's flow without a query.
-    rest = np.ones(len(original), dtype=bool)
-    hit = np.empty(0, dtype=np.intp)
-    own = grid.point_to_voxel
-    if len(own) == len(original):
-        kept = np.flatnonzero(own >= 0)
-        hit = kept[np.all(centers[own[kept]] == points[kept], axis=1)]
-        rest[hit] = False
-    rest = np.flatnonzero(rest)
-
-    k_eff = min(k, len(centers))
-    if len(rest):
-        dist, idx = grid.voxel_centers.kdtree.query(points[rest], k=k_eff)
-    else:  # no tree to build
-        dist, idx = np.empty(0), np.empty(0, dtype=np.intp)
-    dist = dist.reshape(len(rest), k_eff)
-    idx = idx.reshape(len(rest), k_eff)
-    # A queried point on its nearest center takes that center's flow by lookup
-    # too; every distance left is positive, as the distances are sorted.
-    exact = dist[:, 0] == 0.0
-    w = 1.0 / dist[~exact]
-    return TransferPlan(
-        n_points=len(original),
-        n_voxels=len(centers),
-        own_rows=np.concatenate((hit, rest[exact])),
-        own_voxels=np.concatenate((own[hit], idx[exact, 0])),
-        rest_rows=rest[~exact],
-        neighbors=idx[~exact],
-        weights=w,
-        weight_sums=w.sum(axis=1),
-    )
-
-
-def transfer_flow_to_points(
-    grid: VoxelGrid,
-    voxel_flow: FlowField,
-    original: PointCloud,
-    k: int = 3,
-) -> FlowField:
-    """Inverse-distance interpolation of per-voxel flow onto original points.
-
-    Each point receives sum_j v_j / d_j over its k nearest voxel centers,
-    normalized by sum_j 1 / d_j (Euclidean distances). A point coinciding
-    with a voxel center takes that voxel's flow exactly. When the grid has
-    fewer than k voxels, all of them are used.
-
-    This is `plan_transfer(grid, original, k).apply(voxel_flow)`: the plan
-    (own-voxel lookups, k-NN query, weights) reads no flow, so a caller that
-    knows the grid before the flow can build it early.
-    """
-    return plan_transfer(grid, original, k).apply(voxel_flow)

@@ -1,16 +1,19 @@
 """End-to-end inference: masks -> ego-motion -> clusters -> per-cluster fits
--> optional ICP refinement -> rigid flow assembly -> voxel-to-point transfer.
+-> optional ICP refinement -> rigid flow assembly.
 
 The pipeline consumes two preprocessed clouds that already carry per-point
 features and foreground probabilities (from any provider: the synthetic
 oracle, raw coordinates, or externally computed files), voxelizes them, and
-estimates everything on the voxel clouds. The assembled rigid flow lives on
-the source voxels and is transferred back to the original points by
-inverse-distance interpolation at the very end.
+estimates everything on the voxel clouds.
 
 The scene is explained as rigid segments: the background, moved by the
 ego-motion, and one segment per cluster. Each segment's result is one
 `SegmentFit` (transform, fitted, refined), and assembly reads nothing else.
+Every source voxel, and every source point through its voxel, moves by its
+own segment's transform, so the flow inside a segment is exactly rigid at
+the points as well as at the voxels. Voxels that no fitted segment owns
+(DBSCAN noise, unfitted clusters) keep the unconstrained soft flow, and
+their points take it too.
 
 After the foreground split the two branches read nothing of each other's
 results, so each call runs them side by side on two threads: the background
@@ -19,11 +22,7 @@ results, so each call runs them side by side on two threads: the background
 thread. Each step is one call into the module that owns it: the ego-motion
 is `rigidfit.estimate_ego_motion` on the voxel clouds and their background
 masks, the soft flow is `transport.soft_flow`, and the ICP of every segment
-is `refine.refine_segment`. The transfer's plan (own-voxel lookups, k-NN
-query and weights) reads no flow, so it runs on whichever of the two threads
-finishes its branch first: the calling thread when the ego-motion is the
-longer branch, the worker when the foreground is. After the join only the
-plan's weighted sums remain. The random generator is drawn from by the
+is `refine.refine_segment`. The random generator is drawn from by the
 background branch alone and the branches share no mutable state, so the
 outputs are the same bytes as a sequential run whatever the scheduling.
 
@@ -42,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import ClusterLabeling, dbscan
-from .geom import (
-    FlowField,
-    PointCloud,
-    RigidTransform,
-    plan_transfer,
-    voxelize,
-)
+from .geom import FlowField, PointCloud, RigidTransform, voxelize
 from .refine import IcpConfig, refine_segment
 from .rigidfit import estimate_ego_motion, fit_cluster_transform
 from .transport import soft_flow
@@ -137,7 +130,6 @@ class PipelineConfig:
     slack_d0: float | None = None
     sinkhorn_iterations: int = 3
     ego_sample_size: int = 1024
-    interp_k: int = 3
     icp_bg: IcpConfig = IcpConfig(max_correspondence_distance=0.15, max_iterations=300)
     icp_fg: IcpConfig = IcpConfig(max_correspondence_distance=0.25, max_iterations=300)
     seed: int = 0
@@ -158,8 +150,6 @@ class PipelineConfig:
             raise ValueError("sinkhorn_iterations must be at least 1")
         if self.ego_sample_size < 3:
             raise ValueError("ego_sample_size must be at least 3")
-        if self.interp_k < 1:
-            raise ValueError("interp_k must be at least 1")
         if self.slack_d0 is not None and not self.slack_d0 > 0:
             raise ValueError("slack_d0 must be positive when set")
         if np.isnan(self.ground_removal_y):
@@ -295,8 +285,42 @@ def with_xyz_features(pc: PointCloud) -> PointCloud:
 
 
 def with_height_mask(pc: PointCloud, height: float) -> PointCloud:
-    """Crude foreground heuristic: everything above `height` (y up) is foreground."""
+    """Crude foreground heuristic: everything above `height` (y up) is foreground.
+
+    Raises:
+        ValueError: when `height` is not finite (NaN would make every point
+            background, and so would inf).
+    """
+    if not np.isfinite(height):
+        raise ValueError(f"height must be finite, got {height}")
     return dataclasses.replace(pc, fg_prob=(pc.points[:, 1] > height).astype(np.float64))
+
+
+def _segment_index(decomp: SceneDecomposition) -> np.ndarray:
+    """Each source voxel's segment: 0 the ego, k + 1 fitted cluster k, -1 unconstrained."""
+    segments = np.zeros(len(decomp.voxel_x), dtype=np.int64)
+    labels = decomp.clusters.labels
+    # One entry per cluster and a last False, which noise's label -1 reads.
+    fitted = np.array([*decomp.cluster_fitted, False])
+    segments[~decomp.bg_mask_x] = np.where(fitted[labels], labels + 1, -1)
+    return segments
+
+
+def _move_segments(
+    points: np.ndarray, segments: np.ndarray, fits: tuple[SegmentFit, ...], out: np.ndarray
+) -> None:
+    """Write `fits[s].transform.apply(p) - p` into `out` for every row p of segment s >= 0.
+
+    One stable sort groups the rows, so each segment's rows are moved in
+    ascending order by one `apply`, as a boolean mask would select them.
+    """
+    order = np.argsort(segments, kind="stable")
+    bounds = np.searchsorted(segments[order], np.arange(len(fits) + 1))
+    for fit, lo, hi in zip(fits, bounds[:-1], bounds[1:]):
+        if lo < hi:
+            rows = order[lo:hi]
+            moved = points[rows]
+            out[rows] = fit.transform.apply(moved) - moved
 
 
 def assemble_rigid_flow(decomp: SceneDecomposition) -> FlowField:
@@ -308,18 +332,31 @@ def assemble_rigid_flow(decomp: SceneDecomposition) -> FlowField:
     flow inside every transformed segment is exactly rigid.
     """
     pts = decomp.voxel_x.points
-    out = np.zeros_like(pts)
-    bg = decomp.bg_mask_x
-    out[bg] = decomp.ego_fit.transform.apply(pts[bg]) - pts[bg]
-    fg_index = np.flatnonzero(~bg)
+    fg_index = np.flatnonzero(~decomp.bg_mask_x)
     if len(fg_index) != len(decomp.unconstrained_flow):
         raise ValueError("unconstrained flow does not match foreground voxel count")
+    out = np.empty_like(pts)
     out[fg_index] = decomp.unconstrained_flow.vectors
-    for k, fit in enumerate(decomp.cluster_fits):
-        if not fit.fitted:
-            continue
-        sel = fg_index[decomp.clusters.labels == k]
-        out[sel] = fit.transform.apply(pts[sel]) - pts[sel]
+    _move_segments(pts, _segment_index(decomp), (decomp.ego_fit, *decomp.cluster_fits), out)
+    return FlowField(out)
+
+
+def _point_flow(decomp: SceneDecomposition, point_to_voxel: np.ndarray, x: PointCloud) -> FlowField:
+    """Per-point flow: each point moves by its own voxel's segment transform.
+
+    A point of an unconstrained voxel takes that voxel's flow. A point whose
+    cell the voxel cap dropped (`point_to_voxel` -1) belongs to its nearest
+    voxel center.
+    """
+    voxel = point_to_voxel.copy()
+    dropped = np.flatnonzero(voxel < 0)
+    if len(dropped):
+        voxel[dropped] = decomp.voxel_x.kdtree.query(x.points[dropped])[1]
+    segments = _segment_index(decomp)[voxel]
+    out = np.empty_like(x.points)
+    free = segments < 0
+    out[free] = decomp.voxel_flow.vectors[voxel[free]]
+    _move_segments(x.points, segments, (decomp.ego_fit, *decomp.cluster_fits), out)
     return FlowField(out)
 
 
@@ -406,11 +443,12 @@ def infer_rigid_flow(
     Sinkhorn-weighted rigid fitting; cluster the source foreground; compute
     the soft-correspondence flow on the foreground; fit one transform per
     cluster from that flow; optionally refine every transform with ICP;
-    assemble the per-voxel rigid flow; finally interpolate the voxel flow
-    back onto the original source points. The background steps run on a
-    worker thread beside the foreground steps, and the transfer is planned
-    by whichever thread is free first; when both branches fail, the
-    background's error is raised, as if it had run first.
+    assemble the per-voxel rigid flow; finally move every source point by
+    its own voxel's segment transform (a point of an unconstrained voxel
+    takes that voxel's flow, and a point whose cell the `max_points` voxel
+    cap dropped belongs to its nearest voxel center). The background steps
+    run on a worker thread beside the foreground steps; when both branches
+    fail, the background's error is raised, as if it had run first.
 
     Returns the voxel-level decomposition and the per-point flow for `x`.
 
@@ -443,23 +481,15 @@ def infer_rigid_flow(
     # ego transport is thread-local (numpy >= 2.0). After the two voxelize
     # calls, `rng` is drawn from by the background branch alone, so the
     # foreground must never touch it: then no draw depends on scheduling.
-    # The transfer plan reads only `grid_x` and `x`, so whichever thread is
-    # free first builds it: it is queued behind the background, and the
-    # calling thread takes it back if it finishes the foreground first.
     with ThreadPoolExecutor(max_workers=1) as pool:
         background = pool.submit(_background, vx, vy, bg_mask_x, bg_mask_y, cfg, refine, rng)
-        queued_plan = pool.submit(plan_transfer, grid_x, x, cfg.interp_k)
         try:
             foreground = _foreground(vx, vy, fg_mask_x, fg_mask_y, cfg, refine)
         except Exception:
-            queued_plan.cancel()
             # Precedence as if the background ran first: its error wins.
             background.result()
             raise
-        plan = plan_transfer(grid_x, x, cfg.interp_k) if queued_plan.cancel() else None
         ego_fit = background.result()
-        if plan is None:
-            plan = queued_plan.result()
     clusters, unconstrained, cluster_fits = foreground
 
     decomp = SceneDecomposition(
@@ -474,4 +504,4 @@ def infer_rigid_flow(
     )
     decomp = dataclasses.replace(decomp, voxel_flow=assemble_rigid_flow(decomp))
 
-    return decomp, plan.apply(decomp.voxel_flow)
+    return decomp, _point_flow(decomp, grid_x.point_to_voxel, x)

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rigidflow.cli import main
+from rigidflow.cli import build_parser, main
 from rigidflow.io import read_key_values, read_point_cloud, read_transform, write_point_cloud
 from rigidflow.geom import PointCloud
+from rigidflow.synthetic import SceneSpec, generate_scene
 
 
 def synth(tmp_path, *extra):
@@ -35,6 +38,45 @@ def test_synth_writes_parseable_consistent_files(tmp_path):
     bg = x.cluster_id < 0
     moved = ego.apply(x.points[bg]) - x.points[bg]
     assert np.abs(moved - x.flow[bg]).max() < 1e-5
+
+
+SYNTH_FLAG_FIELDS = {
+    "--objects": "n_objects",
+    "--points-per-object": "points_per_object",
+    "--background-points": "background_points",
+    "--extent": "background_extent",
+    "--ego-rotation-deg": "ego_rotation_deg",
+    "--ego-translation": "ego_translation",
+    "--object-rotation-deg": "object_rotation_deg",
+    "--object-translation": "object_translation",
+    "--noise-sigma": "noise_sigma",
+    "--dropout": "dropout",
+    "--feature-dim": "feature_dim",
+    "--gap": "min_object_gap",
+    "--seed": "seed",
+}
+
+
+def test_synth_flag_defaults_are_the_scene_spec_defaults():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {
+        option: action
+        for action in sub.choices["synth"]._actions
+        for option in action.option_strings
+    }
+    defaults = {f.name: f.default for f in dataclasses.fields(SceneSpec)}
+    for flag, name in SYNTH_FLAG_FIELDS.items():
+        default = actions[flag].default
+        assert default == defaults[name] and type(default) is type(defaults[name]), flag
+
+
+def test_synth_defaults_write_the_default_scene(tmp_path):
+    prefix = str(tmp_path / "scene")
+    assert main(["synth", "--out-prefix", prefix]) == 0
+    x = read_point_cloud(f"{prefix}_x.rgf")
+    want = generate_scene(SceneSpec()).frame_x
+    assert x.features.shape == want.features.shape == (len(want), SceneSpec().feature_dim)
+    np.testing.assert_array_equal(x.points, want.points.astype(np.float32))
 
 
 def test_synth_zero_objects_zero_flow(tmp_path):
@@ -140,6 +182,7 @@ def test_flow_out_of_range_fg_prob_exits_2_naming_attribute(tmp_path, rng, capsy
         "normalized_chamfer",
         "lambda_inlier",
         "lambda_cd",
+        "interp_k",
     ],
 )
 def test_flow_config_unknown_key_exits_2(tmp_path, capsys, key):
@@ -151,7 +194,7 @@ def test_flow_config_unknown_key_exits_2(tmp_path, capsys, key):
     )
     assert rc == 2
     err = capsys.readouterr().err
-    assert "unknown.cfg" in err and "unknown config key" in err
+    assert "unknown.cfg" in err and f"unknown config key {key!r}" in err
 
 
 @pytest.mark.parametrize(
@@ -283,6 +326,18 @@ def test_flow_mismatched_feature_widths_exit_2_naming_both_donors(tmp_path, rng,
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{donors[0]} has D = 16" in err and f"{donors[1]} has D = 8" in err
+
+
+def test_flow_infinite_mask_height_exits_2_naming_the_flag(tmp_path, capsys):
+    prefix = synth(tmp_path)
+    rc = main(
+        [
+            "flow", "--src", f"{prefix}_x.rgf", "--tgt", f"{prefix}_y.rgf",
+            "--masks", "height", "--mask-height", "inf", "--out-flow", str(tmp_path / "p.rgf"),
+        ]
+    )
+    assert rc == 2
+    assert "--mask-height" in capsys.readouterr().err
 
 
 def test_flow_nan_mask_height_exits_2_naming_the_flag(tmp_path, capsys):

@@ -14,7 +14,6 @@ from rigidflow.geom import (
     compose,
     invert,
     rotation_about_axis,
-    transfer_flow_to_points,
     voxelize,
 )
 
@@ -506,220 +505,3 @@ def test_voxelize_bit_identical_to_unique_reference(pc, voxel_size, max_voxels, 
         if expected is not None:
             assert np.array_equal(got, expected), name
 
-
-# ------------------------------------------------------- flow interpolation
-
-
-def _grid_from_centers(centers):
-    # build a one-point-per-cell grid for interpolation tests
-    return voxelize(PointCloud(np.asarray(centers, dtype=float)), 0.05)
-
-
-def test_transfer_constant_field_is_exact(rng):
-    centers = rng.uniform(0.0, 2.0, size=(30, 3))
-    grid = _grid_from_centers(centers)
-    flow = FlowField(np.tile([1.0, 0.0, 0.0], (len(grid), 1)))
-    pts = PointCloud(rng.uniform(0.0, 2.0, size=(50, 3)))
-    out = transfer_flow_to_points(grid, flow, pts, k=3)
-    np.testing.assert_allclose(out.vectors, np.tile([1.0, 0.0, 0.0], (50, 1)), atol=1e-12)
-
-
-def test_transfer_snaps_at_zero_distance(rng):
-    centers = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    grid = _grid_from_centers(centers)
-    flow = FlowField(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]))
-    query = PointCloud(grid.voxel_centers.points[[1]])
-    for k in (1, 2, 3):
-        out = transfer_flow_to_points(grid, flow, query, k=k)
-        np.testing.assert_array_equal(out.vectors[0], [4.0, 5.0, 6.0])
-
-
-def test_transfer_midpoint_two_voxels():
-    # oracle: closed-form two-term inverse-distance evaluation
-    centers = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    grid = _grid_from_centers(centers)
-    flow = FlowField(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    out = transfer_flow_to_points(
-        grid, flow, PointCloud([[0.5, 0.0, 0.0]]), k=2
-    )
-    np.testing.assert_allclose(out.vectors[0], [0.5, 0.5, 0.0], atol=1e-12)
-
-
-def test_transfer_uses_all_voxels_when_fewer_than_k():
-    centers = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    grid = _grid_from_centers(centers)
-    flow = FlowField(np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
-    out = transfer_flow_to_points(grid, flow, PointCloud([[0.25, 0.0, 0.0]]), k=10)
-    # inverse-distance over both voxels: w = (4, 4/3), normalized
-    expected = (4.0 * 1.0 + (4.0 / 3.0) * 3.0) / (4.0 + 4.0 / 3.0)
-    np.testing.assert_allclose(out.vectors[0], [expected, 0.0, 0.0], atol=1e-12)
-
-
-def test_transfer_matches_inverse_distance_oracle(rng):
-    centers = rng.uniform(0.0, 1.0, size=(40, 3))
-    grid = _grid_from_centers(centers)
-    vec = rng.normal(size=(len(grid), 3))
-    flow = FlowField(vec)
-    pts = rng.uniform(0.0, 1.0, size=(25, 3))
-    out = transfer_flow_to_points(grid, flow, PointCloud(pts), k=3)
-    c = grid.voxel_centers.points
-    for i, p in enumerate(pts):
-        d = np.linalg.norm(c - p, axis=1)
-        nearest = np.argsort(d)[:3]
-        w = 1.0 / d[nearest]
-        expected = (w[:, None] * vec[nearest]).sum(axis=0) / w.sum()
-        np.testing.assert_allclose(out.vectors[i], expected, atol=1e-10)
-
-
-def reference_transfer(grid, voxel_flow, original, k=3):
-    """The former `transfer_flow_to_points`: a k-NN query for every point.
-
-    Kept as the reference for the exact-center lookup, whose output must
-    match it bit for bit.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    centers = grid.voxel_centers.points
-    if len(voxel_flow) != len(centers):
-        raise ValueError("voxel_flow length does not match voxel count")
-    k_eff = min(k, len(centers))
-    dist, idx = cKDTree(centers).query(original.points, k=k_eff)
-    dist = dist.reshape(len(original), k_eff)
-    idx = idx.reshape(len(original), k_eff)
-
-    flows = voxel_flow.vectors[idx]  # (N, k, 3)
-    exact = dist[:, 0] == 0.0
-    safe = np.where(dist == 0.0, 1.0, dist)  # exact rows are overwritten below
-    w = 1.0 / safe
-    out = (w[:, :, None] * flows).sum(axis=1) / w.sum(axis=1)[:, None]
-    out[exact] = voxel_flow.vectors[idx[exact, 0]]
-    return FlowField(out)
-
-
-def _mixed_cloud(seed=21, n=3000):
-    # solo cells and multi-point cells at voxel 0.1
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, 1.5, size=(n, 3))
-    pts[: n // 4] = rng.uniform(0.0, 0.3, size=(n // 4, 3))
-    return PointCloud(pts)
-
-
-def _coincident_cloud():
-    # cells of 2-5 copies of one point (their mean may round off the point),
-    # a multi-point cell whose centroid is one of its points (0.25, 0.5, 0.75
-    # on x averages to 0.5 exactly), and solo cells
-    rng = np.random.default_rng(22)
-    base = rng.uniform(0.0, 10.0, size=(40, 3)) * np.array([1.0, 1.0, 0.1])
-    copies = np.repeat(base, rng.integers(2, 6, size=len(base)), axis=0)
-    on_centroid = np.array([[20.25, 20.5, 20.5], [20.5, 20.5, 20.5], [20.75, 20.5, 20.5]])
-    solo = rng.uniform(30.0, 40.0, size=(30, 3))
-    return PointCloud(np.concatenate([copies, on_centroid, solo]))
-
-
-def _on_other_centers(pc, grid):
-    # same length as pc; every 7th point moved exactly onto a center of a
-    # cell other than its own
-    pts = pc.points.copy()
-    p2v = grid.point_to_voxel
-    rows = np.arange(0, len(pc), 7)
-    pts[rows] = grid.voxel_centers.points[(p2v[rows] + 1) % len(grid)]
-    return PointCloud(pts)
-
-
-def _transfer_case(name):
-    if name == "self":
-        pc = _mixed_cloud()
-        return voxelize(pc, 0.1), pc, 3
-    if name == "other-cloud-same-length":
-        pc = _mixed_cloud()
-        return voxelize(pc, 0.1), _mixed_cloud(seed=23), 3
-    if name == "capped":
-        pc = _mixed_cloud()
-        grid = voxelize(pc, 0.1, max_voxels=500, rng=np.random.default_rng(4))
-        assert np.any(grid.point_to_voxel == -1)
-        return grid, pc, 3
-    if name == "coincident-points":
-        pc = _coincident_cloud()
-        return voxelize(pc, 1.0), pc, 3
-    if name == "on-other-cells-center":
-        pc = _mixed_cloud()
-        grid = voxelize(pc, 0.1)
-        return grid, _on_other_centers(pc, grid), 3
-    if name == "k1":
-        pc = _mixed_cloud()
-        return voxelize(pc, 0.1), pc, 1
-    if name == "k-above-voxel-count":
-        pc = _coincident_cloud().select(np.arange(0, 60))
-        grid = voxelize(pc, 1.0)
-        return grid, pc, len(grid) + 5
-    raise KeyError(name)
-
-
-_TRANSFER_CASES = [
-    "self",
-    "other-cloud-same-length",
-    "capped",
-    "coincident-points",
-    "on-other-cells-center",
-    "k1",
-    "k-above-voxel-count",
-]
-
-
-@pytest.mark.parametrize("name", _TRANSFER_CASES)
-def test_transfer_bit_identical_to_reference(name):
-    grid, original, k = _transfer_case(name)
-    flow = FlowField(np.random.default_rng(5).normal(size=(len(grid), 3)))
-    got = transfer_flow_to_points(grid, flow, original, k=k)
-    expected = reference_transfer(grid, flow, original, k=k)
-    assert np.array_equal(got.vectors, expected.vectors)
-
-
-def test_transfer_reference_cases_reach_their_branch():
-    # lookup hits in solo and in multi-point cells, misses that take the
-    # dist == 0 branch, and misses that interpolate
-    def branches(name):
-        grid, original, _ = _transfer_case(name)
-        own = grid.point_to_voxel
-        hit = own >= 0
-        hit[hit] = np.all(grid.voxel_centers.points[own[hit]] == original.points[hit], axis=1)
-        multi = own >= 0
-        multi[multi] = np.bincount(own[multi])[own[multi]] > 1
-        zero = cKDTree(grid.voxel_centers.points).query(original.points)[0] == 0.0
-        return hit, multi, zero
-
-    hit, multi, _ = branches("self")
-    assert np.any(hit) and np.any(~hit)
-    hit, _, _ = branches("other-cloud-same-length")
-    assert not np.any(hit)
-    hit, multi, _ = branches("coincident-points")
-    assert np.any(hit & multi) and np.any(~hit & multi)
-    hit, _, zero = branches("on-other-cells-center")
-    assert np.any(~hit & zero)
-
-
-class _QuerySpy(cKDTree):
-    rows = []
-
-    def query(self, x, *args, **kwargs):
-        _QuerySpy.rows.append(len(np.atleast_2d(x)))
-        return super().query(x, *args, **kwargs)
-
-
-def test_transfer_skips_points_on_their_own_center(monkeypatch, rng):
-    import rigidflow.geom
-
-    monkeypatch.setattr(rigidflow.geom, "cKDTree", _QuerySpy)
-    monkeypatch.setattr(_QuerySpy, "rows", [])
-    pc = PointCloud(rng.uniform(0.0, 2.0, size=(200, 3)))
-    grid = voxelize(pc, 0.05)
-    assert len(grid) == len(pc)  # one point per cell
-    flow = FlowField(rng.normal(size=(len(grid), 3)))
-    out = transfer_flow_to_points(grid, flow, pc, k=3)
-    assert sum(_QuerySpy.rows) == 0
-    assert np.array_equal(out.vectors, flow.vectors[grid.point_to_voxel])
-
-    # a cloud that is not the voxelized one is queried row for row
-    other = PointCloud(pc.points + 0.01)
-    transfer_flow_to_points(grid, flow, other, k=3)
-    assert sum(_QuerySpy.rows) == len(other)

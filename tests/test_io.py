@@ -276,7 +276,6 @@ FLOW_RUN_AND_CONFIG_KEYS = [
     "config.icp_fg.convergence_epsilon",
     "config.icp_fg.max_correspondence_distance",
     "config.icp_fg.max_iterations",
-    "config.interp_k",
     "config.max_points",
     "config.range_cutoff",
     "config.remove_ground",

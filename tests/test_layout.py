@@ -1,11 +1,14 @@
 """The package's module import graph: no cycles, `io` is a leaf above `geom`,
 `energy` is a leaf that no other module imports, and private names stay in
-their module."""
+their module. Every config field is read somewhere."""
 
 import ast
+import dataclasses
 import importlib
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+
+from rigidflow.pipeline import PipelineConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rigidflow"
 
@@ -87,3 +90,32 @@ def test_every_all_entry_resolves():
         module = importlib.import_module(name)
         missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
         assert missing == [], f"{name}.__all__ names undefined {missing}"
+
+
+def _cfg_reads() -> set:
+    """Attribute names read as `cfg.<name>` anywhere in the package, outside
+    `PipelineConfig` itself."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "PipelineConfig"
+            for node in ast.walk(cls)
+        }
+        found.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg"
+            and id(node) not in inside
+        )
+    return found
+
+
+def test_every_config_field_is_read():
+    # a knob that nothing reads does nothing, yet a config file may still set it
+    unread = [f.name for f in dataclasses.fields(PipelineConfig) if f.name not in _cfg_reads()]
+    assert unread == [], f"PipelineConfig fields nothing reads: {unread}"

@@ -10,7 +10,7 @@ from scipy import stats
 
 from rigidflow import pipeline
 from rigidflow.cluster import dbscan
-from rigidflow.geom import FlowField, PointCloud, RigidTransform, transfer_flow_to_points, voxelize
+from rigidflow.geom import FlowField, PointCloud, RigidTransform, voxelize
 from rigidflow.metrics import ego_metrics, flow_metrics
 from rigidflow.pipeline import (
     PipelineConfig,
@@ -376,6 +376,13 @@ def test_feature_and_mask_providers(rng):
     np.testing.assert_array_equal(masked.fg_prob, (pts[:, 1] > 0.0).astype(float))
 
 
+@pytest.mark.parametrize("height", [np.nan, np.inf, -np.inf])
+def test_height_mask_refuses_a_non_finite_height(height):
+    # `y > nan` is False everywhere: the cloud would be all background
+    with pytest.raises(ValueError, match="height"):
+        with_height_mask(PointCloud(np.zeros((4, 3))), height)
+
+
 def test_config_flat_round_trip():
     off_default = PipelineConfig(
         voxel_size=0.2,
@@ -392,14 +399,13 @@ def test_config_flat_round_trip():
         slack_d0=0.3,
         sinkhorn_iterations=5,
         ego_sample_size=512,
-        interp_k=4,
         icp_bg=IcpConfig(max_correspondence_distance=0.1, max_iterations=100, convergence_epsilon=1e-7),
         icp_fg=IcpConfig(max_correspondence_distance=0.2, max_iterations=50, convergence_epsilon=1e-5),
         seed=5,
     )
     defaults = PipelineConfig().to_flat_dict()
     assert all(value != defaults[key] for key, value in off_default.to_flat_dict().items())
-    for cfg in (PipelineConfig(seed=5, slack_d0=0.3, interp_k=4), off_default):
+    for cfg in (PipelineConfig(seed=5, slack_d0=0.3, max_points=4096), off_default):
         assert PipelineConfig.from_flat_dict(cfg.to_flat_dict()) == cfg
     with pytest.raises(ValueError, match="unknown config key"):
         PipelineConfig.from_flat_dict({"nope": "1"})
@@ -408,7 +414,7 @@ def test_config_flat_round_trip():
 def test_config_validation():
     # construction validates: an invalid config cannot exist
     invalid = (
-        ("fg_threshold", 1.5), ("voxel_size", 0.0), ("interp_k", 0), ("seed", -1),
+        ("fg_threshold", 1.5), ("voxel_size", 0.0), ("max_points", 2), ("seed", -1),
         # an infinite scale or temperature runs, but to a wrong answer or a
         # numerical failure
         ("voxel_size", np.inf), ("dbscan_eps", np.inf), ("tau_ego", np.inf),
@@ -489,7 +495,34 @@ def reference_infer(x, y, cfg, refine=False, rng=None):
         unconstrained_flow=unconstrained,
     )
     decomp = dataclasses.replace(decomp, voxel_flow=assemble_rigid_flow(decomp))
-    return decomp, transfer_flow_to_points(grid_x, decomp.voxel_flow, x, cfg.interp_k)
+    voxel = _point_voxels(grid_x, decomp, x)
+    flow = decomp.voxel_flow.vectors[voxel]
+    for _, members, t in _point_segments(decomp, voxel):
+        flow[members] = t.apply(x.points[members]) - x.points[members]
+    return decomp, FlowField(flow)
+
+
+def _point_voxels(grid, decomp, x):
+    """Each point's voxel; a point whose cell the cap dropped takes its nearest
+    center, found by brute force."""
+    voxel = grid.point_to_voxel.copy()
+    for i in np.flatnonzero(voxel < 0):
+        d2 = ((decomp.voxel_x.points - x.points[i]) ** 2).sum(axis=1)
+        voxel[i] = np.argmin(d2)
+    return voxel
+
+
+def _point_segments(decomp, voxel):
+    """(label, point mask, transform) for the ego and each fitted cluster: the
+    points whose voxel (`voxel[i]` for point i) is in the segment."""
+    owned = [("ego", decomp.bg_mask_x, decomp.ego)]
+    fg_index = np.flatnonzero(~decomp.bg_mask_x)
+    for k, fit in enumerate(decomp.cluster_fits):
+        if fit.fitted:
+            mask = np.zeros(len(decomp.voxel_x), dtype=bool)
+            mask[fg_index[decomp.clusters.labels == k]] = True
+            owned.append((f"cluster {k}", mask, fit.transform))
+    return [(label, mask[voxel], t) for label, mask, t in owned]
 
 
 def _transform_bytes(t):
@@ -621,6 +654,30 @@ def test_infer_matches_sequential_reference(case, refine):
         assert decomp.clusters.n_clusters == 8
 
 
+@pytest.mark.parametrize("case", ["default", "crowd", "capped"])
+def test_every_point_of_a_segment_moves_by_its_transform(case):
+    # The flow of all points, not only of the voxel centers, refits to the
+    # transform of the segment that owns the point's voxel.
+    x, y, cfg, rng = _inputs(case)
+    state = rng.bit_generator.state
+    decomp, flow = infer_rigid_flow(x, y, cfg, refine=True, rng=rng)
+    rng.bit_generator.state = state
+    grid = voxelize(x, cfg.voxel_size, cfg.max_points, rng)
+    if case == "capped":
+        assert np.any(grid.point_to_voxel == -1)
+    segments = _point_segments(decomp, _point_voxels(grid, decomp, x))
+    assert len(segments) > 1
+    for label, members, t in segments:
+        refit = fit_cluster_transform(
+            PointCloud(x.points[members]), FlowField(flow.vectors[members])
+        )
+        gap = max(
+            np.abs(refit.rotation - t.rotation).max(),
+            np.abs(refit.translation - t.translation).max(),
+        )
+        assert gap < 1e-9, label
+
+
 def _raiser(message, delay=0.0):
     def raise_after_delay(*args, **kwargs):
         time.sleep(delay)
@@ -650,58 +707,42 @@ def test_foreground_error_surfaces(monkeypatch, fg_delay):
     assert threading.active_count() == baseline
 
 
-def _spy_on_plan(monkeypatch):
-    """The thread of every `plan_transfer` call the pipeline makes, in order."""
-    threads = []
-    real = pipeline.plan_transfer
-
-    def spy(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "plan_transfer", spy)
-    return threads
-
-
-def _delayed(fn, delay):
+def _delayed(fn, delay, done=None):
     def run_after_delay(*args, **kwargs):
         time.sleep(delay)
-        return fn(*args, **kwargs)
+        out = fn(*args, **kwargs)
+        if done is not None:
+            done.append(True)
+        return out
 
     return run_after_delay
 
 
 @pytest.mark.parametrize("refine", [False, True])
 @pytest.mark.parametrize("slow_branch", ["_background", "_foreground"])
-def test_transfer_plan_runs_once_on_the_first_free_thread(monkeypatch, slow_branch, refine):
+def test_infer_matches_reference_whichever_branch_is_slow(monkeypatch, slow_branch, refine):
     x, y, cfg, rng = _inputs("default")
     state = rng.bit_generator.state
     baseline = threading.active_count()
-    threads = _spy_on_plan(monkeypatch)
-    monkeypatch.setattr(pipeline, slow_branch, _delayed(getattr(pipeline, slow_branch), 0.5))
+    monkeypatch.setattr(pipeline, slow_branch, _delayed(getattr(pipeline, slow_branch), 0.3))
     got = infer_rigid_flow(x, y, cfg, refine=refine, rng=rng)
     assert threading.active_count() == baseline
-    assert len(threads) == 1
-    # the calling thread plans when the background keeps the worker busy
-    assert (threads[0] == threading.get_ident()) == (slow_branch == "_background")
     rng.bit_generator.state = state
     _assert_same_result(got, reference_infer(x, y, cfg, refine=refine, rng=rng))
 
 
 @pytest.mark.parametrize("bg_delay", [0.0, 0.5])
-def test_transfer_plan_dropped_when_the_foreground_raises(monkeypatch, bg_delay):
+def test_foreground_error_waits_for_the_background(monkeypatch, bg_delay):
     x, y, cfg, _ = _inputs("default")
     baseline = threading.active_count()
-    threads = _spy_on_plan(monkeypatch)
-    monkeypatch.setattr(pipeline, "_background", _delayed(pipeline._background, bg_delay))
+    done = []
+    monkeypatch.setattr(pipeline, "_background", _delayed(pipeline._background, bg_delay, done))
     monkeypatch.setattr(pipeline, "soft_flow", _raiser("foreground failed"))
     with pytest.raises(ValueError, match="foreground failed"):
         infer_rigid_flow(x, y, cfg, refine=True)
+    # the worker finished its branch before the error left the call
+    assert done == [True]
     assert threading.active_count() == baseline
-    if bg_delay:  # still queued behind the background when the foreground raised
-        assert threads == []
-    else:  # never on the calling thread, at most once on the worker
-        assert threading.get_ident() not in threads and len(threads) <= 1
 
 
 def test_worker_thread_joined_after_success():
