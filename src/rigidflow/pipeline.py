@@ -126,7 +126,7 @@ class PipelineConfig:
     dbscan_min_samples: int = 5
     dbscan_min_cluster_size: int = 10
     tau_ego: float = 0.005
-    tau_flow: float = 0.1
+    tau_flow: float = 0.05
     slack_d0: float | None = None
     sinkhorn_iterations: int = 3
     ego_sample_size: int = 1024

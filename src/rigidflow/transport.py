@@ -17,8 +17,10 @@ Each consumer runs this matching once, in the form its temperature suits:
   best match, so it keeps those in a sparse plan and never holds the dense
   (N+1) x (M+1) matrix, with a proven bound on what the dropped entries move.
 - The flow head (no slack, one row sweep, i.e. a plain softmax, tau_flow =
-  0.1) has every entry within reach, so `soft_flow` streams the dense rows
-  block by block without holding the matrix.
+  0.05) has every entry within reach: unit features put a row's logits
+  within 2 / tau_flow = 40 nats of each other, and the reach of a 2000 x
+  2000 plan is about 59. So `soft_flow` streams the dense rows block by
+  block without holding the matrix.
 
 `AssignmentMatrix` and `sinkhorn` are the dense form of the sweeps; with
 `_logit_operands` they build the dense matching the tests check both forms

@@ -407,9 +407,9 @@ def test_flow_deterministic_artifacts(tmp_path):
         assert rc == 0
         outs.append(
             (
-                open(out_flow, "rb").read(),
-                open(report, "rb").read(),
-                open(ego, "rb").read(),
+                Path(out_flow).read_bytes(),
+                Path(report).read_bytes(),
+                Path(ego).read_bytes(),
             )
         )
     assert outs[0] == outs[1]
@@ -419,7 +419,7 @@ def test_synth_deterministic_artifacts(tmp_path):
     a = synth(tmp_path / "a")
     b = synth(tmp_path / "b")
     for suffix in ("_x.rgf", "_y.rgf", "_gt_flow.rgf", "_ego.txt"):
-        assert open(a + suffix, "rb").read() == open(b + suffix, "rb").read()
+        assert Path(a + suffix).read_bytes() == Path(b + suffix).read_bytes()
 
 
 def test_eval_identical_files(tmp_path, capsys):
@@ -495,7 +495,7 @@ def test_flow_timings_flag_adds_lines(tmp_path):
         ]
     )
     assert rc == 0
-    assert "timing.infer_ms" in open(report).read()
+    assert "timing.infer_ms" in Path(report).read_text()
 
 
 def test_flow_deterministic_under_threaded_blas(tmp_path):
@@ -516,5 +516,5 @@ def test_flow_deterministic_under_threaded_blas(tmp_path):
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        outs.append([open(p, "rb").read() for p in paths])
+        outs.append([Path(p).read_bytes() for p in paths])
     assert outs[0] == outs[1]

@@ -245,19 +245,51 @@ def test_mask_noise_degrades_gracefully():
     assert noisy.epe3d_mean < 0.5  # flipped points carry the residual damage
 
 
-@pytest.mark.parametrize("sigma", [0.05, 0.1])
-def test_ego_survives_feature_noise(sigma):
-    # at sigma 0.1 nearly every background affinity lies below 1e-30; the
-    # ego must still come from their relative weights, not from a floor
+def _scene_with_feature_noise(sigma):
+    """Scene seed 0 with Gaussian noise of `sigma` added to both frames' features."""
     scene = generate_scene(SceneSpec(seed=0))
     noise = np.random.default_rng(0)
     frame_x, frame_y = (
         dataclasses.replace(f, features=f.features + noise.normal(0.0, sigma, f.features.shape))
         for f in (scene.frame_x, scene.frame_y)
     )
-    scene = dataclasses.replace(scene, frame_x=frame_x, frame_y=frame_y)
+    return dataclasses.replace(scene, frame_x=frame_x, frame_y=frame_y)
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.1])
+def test_ego_survives_feature_noise(sigma):
+    # at sigma 0.1 nearly every background affinity lies below 1e-30; the
+    # ego must still come from their relative weights, not from a floor
+    scene = _scene_with_feature_noise(sigma)
     _, _, decomp, _ = run_scene(scene, PipelineConfig(seed=0), refine=False)
     assert ego_metrics(decomp.ego, scene.gt_ego).rre < 0.5
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.1])
+def test_foreground_survives_feature_noise(sigma):
+    # without ICP the cluster fits rest on the flow head alone; at tau_flow
+    # 0.1 its softmax blends targets across the noise, and the foreground
+    # EPE read 58.6 and 342.6 mm here (5.7 and 15.2 mm at 0.05)
+    scene = _scene_with_feature_noise(sigma)
+    cfg = PipelineConfig(seed=0)
+    x, _, _, flow = run_scene(scene, cfg, refine=False)
+    fg = x.fg_prob > cfg.fg_threshold
+    assert np.linalg.norm(flow.vectors - x.flow, axis=1)[fg].mean() < 0.03
+
+
+# eight objects in a 30 m scene, the geometry of the `crowd` bench workload
+CROWD_SPEC = SceneSpec(
+    n_objects=8, points_per_object=1500, background_points=30000,
+    background_extent=30.0, seed=0,
+)
+
+
+def test_crowded_scene_recovers_every_object():
+    # at tau_flow 0.1 the cluster fits started too far off for ICP to
+    # recover them (mean EPE 37.2 mm, foreground 126 mm); at 0.05 it reads 5.7 mm
+    scene = generate_scene(CROWD_SPEC)
+    x, _, _, flow = run_scene(scene, PipelineConfig(seed=0), refine=True)
+    assert flow_metrics(flow, FlowField(x.flow)).epe3d_mean < 0.015
 
 
 def test_output_segments_are_exactly_rigid():
@@ -609,13 +641,7 @@ def _with_collinear_object(scene):
 
 def _inputs(case):
     """Preprocessed clouds, config and the rng state after preprocessing."""
-    if case == "crowd":
-        spec = SceneSpec(
-            n_objects=8, points_per_object=1500, background_points=30000,
-            background_extent=30.0, seed=0,
-        )
-    else:
-        spec = SceneSpec(seed=31)
+    spec = CROWD_SPEC if case == "crowd" else SceneSpec(seed=31)
     scene = generate_scene(spec)
     cfg = PipelineConfig(seed=spec.seed)
     rng = np.random.default_rng(cfg.seed)
